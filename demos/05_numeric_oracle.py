@@ -15,10 +15,12 @@ from liebalance import blocks, groups
 from liebalance.oracle import (brute_force_roots, compare_reports,
                                synthesize_model)
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.roots import root_system
 
 spec = groups.so_star(6)
 data = [blocks.imag_pair(1, 1, (1, 0)), blocks.zero_block(4, (2, 2))]
-system, model = synthesize_model(spec, data)
+system = root_system(spec, data)
+model = synthesize_model(system)
 
 print(f"model of a {spec.describe()} datum: ambient dimension {model.n}")
 print(f"  tau matrix with tau^2 = {model.eta} * id; invariant bilinear form;")
@@ -46,7 +48,8 @@ print("--------------------------------------------")
 rng = random.Random(7)
 for fam in ALL_FAMILIES:
     spec, data = random_scenario(fam, rng)
-    system, model = synthesize_model(spec, data)
+    system = root_system(spec, data)
+    model = synthesize_model(system)
     report = brute_force_roots(system, model, seed=rng.randint(0, 10 ** 6))
     problems = compare_reports(system, report)
     print(f"  {spec.describe():<12} ambient {model.n:>2}, "

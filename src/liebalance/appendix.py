@@ -129,8 +129,7 @@ def in_skew_unitary(x: QMat) -> bool:
 def _is_s_skew(rho_x: List[List[GQ]], s: List[List[GQ]]) -> bool:
     """(rho X)^dagger s + s (rho X) = 0."""
     n = len(s)
-    xd = [[rho_x[b][a].conjugate() for b in range(n)] for a in range(n)]
-    lhs = linalg.matmul(xd, s)
+    lhs = linalg.matmul(linalg.conj_transpose(rho_x), s)
     rhs = linalg.matmul(s, rho_x)
     for a in range(n):
         for b in range(n):

@@ -106,6 +106,11 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     if not unknowns:
         return _decide(spec, surface, system, prop, genus_ok, decorations), prop
 
+    # one label per +-pair: a decoration on one weight sets its negation
+    std = system.standard_by_label()
+    unknowns = [label for i, label in enumerate(unknowns)
+                if std[label].negation not in unknowns[:i]]
+
     if len(unknowns) > MAX_UNKNOWN_ENUMERATION:
         return FlexVerdict("indeterminate", "too_many_unknowns",
                            genus_bound_ok=genus_ok, unknown=unknowns), prop
@@ -117,7 +122,7 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
         extra = []
         legal = True
         for label, status in zip(unknowns, combo):
-            r = system.standard_by_label()[label]
+            r = std[label]
             if status != Status.NON_MAXIMAL and not r.sig.is_vanishing():
                 legal = False
                 break

@@ -28,7 +28,6 @@ from .randomgen import ALL_FAMILIES, random_scenario
 from .sweep import run_sweep, summary_table
 
 EXIT_OK = 0
-EXIT_INDETERMINATE = 2
 EXIT_VALIDATION = 3
 EXIT_INTERNAL = 4
 
@@ -53,11 +52,7 @@ def _cmd_check(args) -> int:
         sys.stdout.write(report_mod.render_text(result))
     else:
         sys.stdout.write(report_mod.render_json(result))
-    if result.oracle_problems:
-        return EXIT_INTERNAL
-    if result.verdict.outcome == "indeterminate":
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    return result.exit_code()
 
 
 def _cmd_sweep(args) -> int:

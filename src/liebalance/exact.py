@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -336,49 +336,3 @@ def congruence(a: Matrix, m: Matrix) -> Matrix:
            for i in range(n)]
     return [[sum((a[l][i].conjugate() * tmp[l][j] for l in range(n)), ZERO)
              for j in range(k)] for i in range(k)]
-
-
-class TauMap:
-    """An antilinear map v -> T conj(v) with tau^2 = eta * id, eta in {+1, -1}."""
-
-    def __init__(self, matrix: Sequence[Sequence], eta: int):
-        self.matrix = gmat(matrix)
-        self.eta = eta
-        n = len(self.matrix)
-        sq = [[sum((self.matrix[i][k] * self.matrix[k][j].conjugate()
-                    for k in range(n)), ZERO) for j in range(n)]
-              for i in range(n)]
-        expect = QI(eta)
-        for i in range(n):
-            for j in range(n):
-                want = expect if i == j else ZERO
-                if sq[i][j] != want:
-                    raise ValueError("tau^2 != eta * id")
-
-    def __call__(self, v: Sequence[GaussianRational]) -> list:
-        n = len(self.matrix)
-        vc = [GaussianRational.of(x).conjugate() for x in v]
-        return [sum((self.matrix[i][k] * vc[k] for k in range(n)), ZERO)
-                for i in range(n)]
-
-
-def quaternion_complexify(v: Sequence[Quaternion]):
-    """Turn a quaternionic vector into a complex one via right multiplication by i.
-
-    A vector (q_1, ..., q_m) with q_k = a_k + j b_k becomes the complex vector
-    (a_1..a_m, b_1..b_m); right multiplication by j becomes the antilinear map
-    tau(a, b) = (-conj(b), conj(a)), with tau^2 = -id.
-    """
-    m = len(v)
-    vec = [Quaternion.of(q).a for q in v] + [Quaternion.of(q).b for q in v]
-    t = [[ZERO] * (2 * m) for _ in range(2 * m)]
-    for k in range(m):
-        t[k][m + k] = -ONE
-        t[m + k][k] = ONE
-    return vec, TauMap(t, -1)
-
-
-def conjugation_tau(m: int) -> TauMap:
-    """The real-form case: tau = coordinatewise conjugation, tau^2 = +id."""
-    t = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    return TauMap(t, +1)

@@ -1,4 +1,6 @@
-"""Exact linear algebra over Q and Q(i): rank, RREF, null spaces, solving.
+"""Exact linear algebra over Q and Q(i): rank, RREF, null spaces, inverses,
+and the matrix helpers (products, transposes, conjugates) every exact module
+shares.
 
 Dense row reduction on small matrices (ambient dimensions stay in the tens),
 with deterministic pivot choice so downstream coordinate conventions are
@@ -10,16 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import GaussianRational, ZERO, ONE
-
-
-def _as_gq(rows) -> List[List[GaussianRational]]:
-    return [[GaussianRational.of(x) for x in row] for row in rows]
+from .exact import GaussianRational, ZERO, ONE, gmat
 
 
 def rref(rows) -> Tuple[List[List[GaussianRational]], List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = _as_gq(rows)
+    a = gmat(rows)
     if not a:
         return a, []
     nrows, ncols = len(a), len(a[0])
@@ -49,11 +47,11 @@ def rank(rows) -> int:
 
 def nullspace(rows, ncols: Optional[int] = None) -> List[List[GaussianRational]]:
     """Basis of {x : A x = 0}, one vector per free column, deterministic."""
-    a = _as_gq(rows)
+    a = gmat(rows)
     if not a:
         if ncols is None:
             raise ValueError("nullspace of an empty system needs ncols")
-        return [[ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)]
+        return identity(ncols)
     ncols = len(a[0])
     red, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
@@ -67,25 +65,9 @@ def nullspace(rows, ncols: Optional[int] = None) -> List[List[GaussianRational]]
     return basis
 
 
-def solve(rows, rhs) -> Optional[List[GaussianRational]]:
-    """One solution of A x = b, or None if inconsistent."""
-    a = _as_gq(rows)
-    b = [GaussianRational.of(x) for x in rhs]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [a[i] + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def matmul(a, b):
-    a = _as_gq(a)
-    b = _as_gq(b)
+    a = gmat(a)
+    b = gmat(b)
     n, m = len(a), len(b[0])
     out = [[ZERO] * m for _ in range(n)]
     for i in range(n):
@@ -103,7 +85,7 @@ def matmul(a, b):
 
 
 def mat_vec(a, v):
-    a = _as_gq(a)
+    a = gmat(a)
     v = [GaussianRational.of(x) for x in v]
     out = [ZERO] * len(a)
     for i, row in enumerate(a):
@@ -115,13 +97,34 @@ def mat_vec(a, v):
     return out
 
 
+def transpose(a):
+    return [[a[j][i] for j in range(len(a))] for i in range(len(a[0]))]
+
+
+def conjugate(a):
+    """Entrywise complex conjugate."""
+    return [[x.conjugate() for x in row] for row in gmat(a)]
+
+
 def conj_transpose(a):
-    a = _as_gq(a)
-    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
+    return transpose(conjugate(a))
+
+
+def zeros(n):
+    return [[ZERO] * n for _ in range(n)]
 
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def inverse(a):
+    """Inverse of a square matrix; raises ValueError when it is singular."""
+    n = len(a)
+    red, pivots = rref([row + ident for row, ident in zip(gmat(a), identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:

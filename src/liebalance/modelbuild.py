@@ -24,23 +24,6 @@ GQ = GaussianRational
 Mat = List[List[GQ]]
 
 
-def _zeros(n: int, m: Optional[int] = None) -> Mat:
-    m = n if m is None else m
-    return [[ZERO for _ in range(m)] for _ in range(n)]
-
-
-def _eye(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def _conj_mat(a: Mat) -> Mat:
-    return [[x.conjugate() for x in row] for row in a]
-
-
-def _transpose(a: Mat) -> Mat:
-    return [[a[j][i] for j in range(len(a))] for i in range(len(a[0]))]
-
-
 @dataclass
 class MatrixModel:
     spec: GroupSpec
@@ -55,12 +38,11 @@ class MatrixModel:
     def sigma(self, x: Mat) -> Mat:
         """The antilinear involution cutting out the real form."""
         if self.T is not None:
-            t_inv = [[GQ.of(self.eta) * v for v in row] for row in _conj_mat(self.T)]
-            return linalg.matmul(linalg.matmul(self.T, _conj_mat(x)), t_inv)
+            t_inv = [[GQ.of(self.eta) * v for v in row] for row in linalg.conjugate(self.T)]
+            return linalg.matmul(linalg.matmul(self.T, linalg.conjugate(x)), t_inv)
         if self.s is not None:
             # sigma(X) = -s^{-1} X^dagger s; the model forms satisfy s^2 = 1
-            xd = _transpose(_conj_mat(x))
-            out = linalg.matmul(linalg.matmul(self.s, xd), self.s)
+            out = linalg.matmul(linalg.matmul(self.s, linalg.conj_transpose(x)), self.s)
             return [[-v for v in row] for row in out]
         raise ValueError("complex families carry no antilinear involution")
 
@@ -85,7 +67,7 @@ class MatrixModel:
             if r.sig is None:
                 continue
             start, size = self.slices[r.label]
-            g = _zeros(size)
+            g = linalg.zeros(size)
             for kk in range(size):
                 for ll in range(size):
                     if self.spec.family == Family.SU:
@@ -122,9 +104,9 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
     fam = spec.family
     eps = spec.epsilon
     eta = spec.eta
-    B = _zeros(n) if spec.is_orthogonal_like else None
-    s = _zeros(n) if fam == Family.SU else None
-    T = _zeros(n) if eta is not None else None
+    B = linalg.zeros(n) if spec.is_orthogonal_like else None
+    s = linalg.zeros(n) if fam == Family.SU else None
+    T = linalg.zeros(n) if eta is not None else None
 
     for b in system.blocks:
         d = b.d_eff
@@ -254,7 +236,7 @@ def _verify_model(model: MatrixModel):
     n = model.n
     spec = model.spec
     if model.T is not None:
-        tt = linalg.matmul(model.T, _conj_mat(model.T))
+        tt = linalg.matmul(model.T, linalg.conjugate(model.T))
         expect = GQ.of(model.eta)
         for i in range(n):
             for j in range(n):
@@ -262,7 +244,7 @@ def _verify_model(model: MatrixModel):
                 if tt[i][j] != want:
                     raise AssertionError("tau^2 != eta")
     if model.B is not None:
-        bt = _transpose(model.B)
+        bt = linalg.transpose(model.B)
         for i in range(n):
             for j in range(n):
                 if bt[i][j] != GQ.of(spec.epsilon) * model.B[i][j]:
@@ -270,8 +252,8 @@ def _verify_model(model: MatrixModel):
         if linalg.rank(model.B) != n:
             raise AssertionError("form is degenerate")
         if model.T is not None:
-            lhs = linalg.matmul(linalg.matmul(_transpose(model.T), model.B), model.T)
-            rhs = _conj_mat(model.B)
+            lhs = linalg.matmul(linalg.matmul(linalg.transpose(model.T), model.B), model.T)
+            rhs = linalg.conjugate(model.B)
             if lhs != rhs:
                 raise AssertionError("form and tau are incompatible")
     if model.s is not None:
@@ -301,7 +283,7 @@ def _verify_model(model: MatrixModel):
             if model.sigma(z) != z:
                 raise AssertionError("center element is not fixed by sigma")
         if model.B is not None:
-            zb = linalg.matmul(_transpose(z), model.B)
+            zb = linalg.matmul(linalg.transpose(z), model.B)
             bz = linalg.matmul(model.B, z)
             for i in range(n):
                 for j in range(n):
@@ -317,7 +299,7 @@ def _coordinate_pattern(model: MatrixModel, unit_label: str, which: str) -> Mat:
     """Matrix by which the raw parameter (unit, which) acts on C^n."""
     spec = model.spec
     n = model.n
-    out = _zeros(n)
+    out = linalg.zeros(n)
 
     def put(label: str, scalar: GQ):
         st, size = model.slices[label]
@@ -378,7 +360,7 @@ def build_center_basis(model: MatrixModel) -> List[Mat]:
     patterns = [_coordinate_pattern(model, lbl, which)
                 for lbl, which in sysr.coord_units]
     for c in range(k):
-        z = _zeros(model.n)
+        z = linalg.zeros(model.n)
         for i, pat in enumerate(patterns):
             coeff = sysr.reduce_matrix[i][c]
             if coeff == 0:
@@ -392,8 +374,8 @@ def build_center_basis(model: MatrixModel) -> List[Mat]:
 
 def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
     """Exact basis of one adjoint weight space inside the ambient algebra."""
-    spec = model.spec
     n = model.n
+    binv = None if model.B is None else linalg.inverse(model.B)
     if root.source[0] == "hom":
         _, a_label, b_label = root.source
         sa, da = model.slices[a_label]
@@ -401,9 +383,9 @@ def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
         out = []
         for i in range(db):
             for j in range(da):
-                f = _zeros(n)
+                f = linalg.zeros(n)
                 f[sb + i][sa + j] = ONE
-                out.append(_skew_extend(model, f))
+                out.append(_skew_extend(model, binv, f))
         return out
     _, a_label = root.source
     sa, da = model.slices[a_label]
@@ -412,9 +394,9 @@ def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
     cands = []
     for i in range(da):
         for j in range(da):
-            f = _zeros(n)
+            f = linalg.zeros(n)
             f[sb + i][sa + j] = ONE
-            cands.append(_skew_extend(model, f))
+            cands.append(_skew_extend(model, binv, f))
     flat = [[x for row in m for x in row] for m in cands]
     red, pivots = linalg.rref(flat)
     out = []
@@ -435,29 +417,11 @@ def _negated_label(label: str) -> str:
     return f"{body}:{flip[tag]}"
 
 
-def _skew_extend(model: MatrixModel, f: Mat) -> Mat:
+def _skew_extend(model: MatrixModel, binv: Optional[Mat], f: Mat) -> Mat:
     """X = f - B^{-1} f^T B, the unique form-skew extension; for special linear
-    families the block itself is already in the algebra."""
-    if model.B is None:
+    families (no form, no binv) the block itself is already in the algebra."""
+    if binv is None:
         return f
     n = model.n
-    binv = _matrix_inverse(model.B)
-    corr = linalg.matmul(linalg.matmul(binv, _transpose(f)), model.B)
+    corr = linalg.matmul(linalg.matmul(binv, linalg.transpose(f)), model.B)
     return [[f[i][j] - corr[i][j] for j in range(n)] for i in range(n)]
-
-
-_INV_CACHE: Dict[int, Mat] = {}
-
-
-def _matrix_inverse(b: Mat) -> Mat:
-    key = id(b)
-    if key in _INV_CACHE:
-        return _INV_CACHE[key]
-    n = len(b)
-    aug = [list(b[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    red, pivots = linalg.rref(aug)
-    if pivots != list(range(n)):
-        raise AssertionError("singular form matrix")
-    inv = [row[n:] for row in red[:n]]
-    _INV_CACHE[key] = inv
-    return inv

@@ -73,12 +73,12 @@ class FloatModel:
         return None
 
 
-def synthesize_model(spec: GroupSpec, blocks: Sequence[Block],
-                     cap: int = DEFAULT_CAP) -> Tuple[RootSystem, FloatModel]:
-    """Exact model floated; raises when the ambient dimension exceeds the cap."""
+def synthesize_model(system: RootSystem, cap: int = DEFAULT_CAP) -> FloatModel:
+    """Exact model of the root system's datum, floated; raises when the
+    ambient dimension exceeds the cap."""
+    spec = system.spec
     if spec.ambient_dim > cap:
         raise OracleError(f"ambient dimension {spec.ambient_dim} exceeds cap {cap}")
-    system = root_system(spec, blocks)
     exact = build_model(spec, system)
     fm = FloatModel(
         spec, exact.n,
@@ -89,7 +89,7 @@ def synthesize_model(spec: GroupSpec, blocks: Sequence[Block],
         [_to_np(z) for z in exact.center_basis()],
     )
     _check_float_model(fm)
-    return system, fm
+    return fm
 
 
 def _check_float_model(fm: FloatModel):
@@ -378,6 +378,6 @@ def compare_reports(system: RootSystem, report: NumericRootReport,
 
 def oracle_check(spec: GroupSpec, blocks: Sequence[Block], seed: int = 0,
                  tol: float = CLUSTER_TOL, cap: int = DEFAULT_CAP) -> List[str]:
-    system, fm = synthesize_model(spec, blocks, cap)
-    report = brute_force_roots(system, fm, tol, seed)
+    system = root_system(spec, blocks)
+    report = brute_force_roots(system, synthesize_model(system, cap), tol, seed)
     return compare_reports(system, report, tol)

@@ -53,7 +53,8 @@ def block_factors(spec: GroupSpec, b: Block) -> List[CentralizerFactor]:
         cls = IrredClass("c", b.dim, Duality.SESQUI_PAIRED, partner="c*")
         blk = IsotypicalBlock(cls, b.mult,
                               block_signature=Signature(b.d_eff, b.d_eff))
-        return [centralizer_factor(kind, blk)]
+        f = centralizer_factor(kind, blk)
+        return [f, f]
     if b.kind in ("imag_pair", "split_pair", "dual_pair"):
         cls = IrredClass("c", b.dim, Duality.PAIRED, partner="c*")
         blk = IsotypicalBlock(cls, b.mult)
@@ -107,14 +108,10 @@ def run_scenario(sc: Scenario) -> RunResult:
     verdict, prop = classify(sc.spec, sc.surface, system, sc.decorations)
     oracle_problems = None
     if sc.options.oracle:
-        sys2, fm = synthesize_model(sc.spec, system.blocks, sc.options.cap)
-        numeric = brute_force_roots(sys2, fm, sc.options.tolerance, sc.options.seed)
-        oracle_problems = compare_reports(sys2, numeric, sc.options.tolerance)
+        fm = synthesize_model(system, sc.options.cap)
+        numeric = brute_force_roots(system, fm, sc.options.tolerance, sc.options.seed)
+        oracle_problems = compare_reports(system, numeric, sc.options.tolerance)
     return RunResult(sc, system, prop, verdict, oracle_problems)
-
-
-def run_file(path: str) -> RunResult:
-    return run_scenario(sc_mod.load(path))
 
 
 def to_json(res: RunResult) -> Dict:

@@ -463,22 +463,6 @@ def root_system(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     return sys
 
 
-def rootspace_signature(spec: GroupSpec, root: AdjointRoot,
-                        system: RootSystem) -> Optional[Signature]:
-    """Signature of the sesquilinear form on one adjoint weight space; None
-    (not applicable) when the weight is not pure imaginary."""
-    if not root.pure_imaginary:
-        return None
-    if root.sig is not None:
-        return root.sig
-    std = system.standard_by_label()
-    if root.source[0] == "wedge":
-        return _wedge_sig(std[root.source[1]].sig, spec.epsilon,
-                          DOUBLE_SIGN[spec.family])
-    _, a, b = root.source
-    return _product_sig(std[a].sig, std[b].sig, DIFF_SIGN[spec.family])
-
-
 def killing_form_matrix(basis, sigma):
     """Exact Gram matrix of (X, X') -> Trace(sigma(X) X') on a given basis.
 

@@ -35,6 +35,7 @@ from liebalance.exact import GaussianRational, ZERO, signature_of
 from liebalance.groups import Family
 from liebalance.oracle import oracle_check, synthesize_model, brute_force_roots
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.roots import root_system
 from liebalance.sweep import run_sweep
 from liebalance.appendix import verify_appendix_embeddings
 from liebalance.toledo import (ALL_TAGS, Status, SurfaceData, ToledoData,
@@ -139,7 +140,8 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
     for fam in ALL_FAMILIES:
         for _ in range(5):
             spec, bl = random_scenario(fam, rng2, cap=12)
-            sysr, fm = synthesize_model(spec, bl)
+            sysr = root_system(spec, bl)
+            fm = synthesize_model(sysr)
             rep = brute_force_roots(sysr, fm, seed=3)
             total_dim, expect = sysr.dim_audit()
             assert total_dim == expect == spec.dim_complexified
@@ -271,7 +273,6 @@ def test_criterion_7_toledo_arithmetic(capsys):
         surf = SurfaceData(genus)
         for rank in (1, 2, 3):
             assert milnor_wood_bound(surf, rank) == (2 * genus - 2) * rank
-    from liebalance.roots import root_system
     from liebalance.toledo import Decoration, propagate_constraints
     spec = groups.su(2, 2)
     sysr = root_system(spec, [blocks.sesq_self(2, (1, 1), (2, 0), label="E")])
@@ -293,7 +294,6 @@ def test_criterion_8_forcing_tags_audited(capsys):
             continue
         assert res.tag_violations == [], res.tag_violations[:5]
     # re-run a slice of the sweeps recording which tags actually fired
-    from liebalance.roots import root_system
     from liebalance.toledo import Decoration, propagate_constraints
     probes = [
         (groups.sl_r(4), [blocks.conj_pair(2, 1)], []),

@@ -5,7 +5,6 @@ import pytest
 
 from liebalance.exact import (GaussianRational, I, ONE, Quaternion, Signature,
                               ZERO, congruence, direct_sum, gmat,
-                              quaternion_complexify, conjugation_tau,
                               signature_of)
 
 
@@ -98,21 +97,3 @@ def test_signature_direct_sum_additivity():
     m2 = gmat([[2]])
     s = signature_of(direct_sum(m1, m2))
     assert s == signature_of(m1) + signature_of(m2)
-
-
-def test_quaternion_complexify_basis_case():
-    vec, tau = quaternion_complexify([Quaternion(1, 0)])
-    assert vec == [GaussianRational(1), GaussianRational(0)]
-    assert tau([ONE, ZERO]) == [ZERO, ONE]
-    assert tau.eta == -1
-
-
-def test_tau_squared_signs():
-    _, tau = quaternion_complexify([Quaternion(1, 0), Quaternion(0, 1)])
-    rng = random.Random(3)
-    v = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-    assert tau(tau(v)) == [-x for x in v]
-    tau_r = conjugation_tau(3)
-    w = [GaussianRational(1, 2), GaussianRational(-2, 0), GaussianRational(0, 5)]
-    assert tau_r(tau_r(w)) == w
-    assert tau_r.eta == 1

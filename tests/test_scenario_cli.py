@@ -132,3 +132,44 @@ def test_block_json_errors():
         sc_mod.block_from_json({"kind": "sesq_self", "dim": 1})
     with pytest.raises(ScenarioError):
         sc_mod.group_from_json({"family": "SU", "p": 1})
+
+
+def _check_json(tmp_path, capsys, doc):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_check_su_free_weight_pair(tmp_path, capsys):
+    # a sesq_pair block contributes two GL(r,C) factors, like conj_pair
+    code, rep = _check_json(tmp_path, capsys, {
+        "schema": "liebalance-scenario/1",
+        "group": {"family": "SU", "p": 1, "q": 1},
+        "surface": {"genus": 2},
+        "blocks": [{"kind": "sesq_pair", "dim": 1, "mult": 1, "label": "b0"}],
+        "options": {"oracle": True},
+    })
+    assert code == 0
+    assert [f["factor"] for f in rep["centralizer_factors"]] == ["GL(1,C)", "GL(1,C)"]
+    assert rep["verdict"]["outcome"] == "flexible"
+    assert rep["oracle"] == {"checked": True, "problems": []}
+
+
+def test_cli_check_so_star_unknown_weight_pair(tmp_path, capsys):
+    # +l and -l both stay unknown; only +l is enumerated, -l mirrors it
+    code, rep = _check_json(tmp_path, capsys, {
+        "schema": "liebalance-scenario/1",
+        "group": {"family": "SO_STAR", "n": 6},
+        "surface": {"genus": 2},
+        "blocks": [
+            {"kind": "imag_pair", "dim": 1, "mult": 2, "sig": [1, 1], "label": "b0"},
+            {"kind": "imag_pair", "dim": 1, "mult": 1, "sig": [1, 0], "label": "b1"},
+        ],
+        "options": {"oracle": True},
+    })
+    assert code == 2
+    assert rep["verdict"]["outcome"] == "indeterminate"
+    assert rep["verdict"]["reason"] == "undetermined_maximality"
+    assert rep["verdict"]["unknown"] == ["b0:+l"]
+    assert rep["oracle"]["problems"] == []
