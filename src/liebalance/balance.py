@@ -128,23 +128,14 @@ def _phase_one(a_cols: List[Vec], b: Vec):
          for i in range(m)]
     basis = [n + i for i in range(m)]
     ncols = n + m
-
-    def reduced_costs():
-        # objective: minimize the sum of artificial variables
-        lam = [Fraction(0)] * m
-        for i, bv in enumerate(basis):
-            if bv >= n:
-                lam[i] = Fraction(1)
-        # y = lam^T B^{-1} rows is implicit: current tableau rows are B^{-1}A
-        costs = []
-        for j in range(ncols):
-            cj = Fraction(1) if j >= n else Fraction(0)
-            costs.append(cj - sum((lam[i] * t[i][j] for i in range(m)), Fraction(0)))
-        return costs
+    # reduced costs of "minimize the sum of artificials", pivoted with the
+    # rows; the last entry is minus the objective value, and basic columns
+    # cost exactly 0
+    cost = [-sum((t[i][j] for i in range(m)), Fraction(0)) for j in range(n)] + \
+        [Fraction(0)] * m + [-sum(rhs, Fraction(0))]
 
     for _ in range(100000):
-        costs = reduced_costs()
-        enter = next((j for j in range(ncols) if costs[j] < 0 and j not in basis), None)
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
             break
         ratios = [(t[i][ncols] / t[i][enter], basis[i], i)
@@ -158,27 +149,21 @@ def _phase_one(a_cols: List[Vec], b: Vec):
             if i != leave and t[i][enter] != 0:
                 f = t[i][enter]
                 t[i] = [t[i][j] - f * t[leave][j] for j in range(ncols + 1)]
+        f = cost[enter]
+        cost = [cost[j] - f * t[leave][j] for j in range(ncols + 1)]
         basis[leave] = enter
     else:
         raise SimplexError("simplex failed to terminate")
 
-    value = sum((t[i][ncols] for i in range(m) if basis[i] >= n), Fraction(0))
-    if value == 0:
+    if cost[ncols] == 0:
         x = [Fraction(0)] * n
         for i, bv in enumerate(basis):
             if bv < n:
                 x[bv] = t[i][ncols]
         return "feasible", x
-    # Farkas: y from the optimal dual, via the artificial columns which hold
-    # B^{-1} of the sign-fixed system
-    lam = [Fraction(1) if basis[i] >= n else Fraction(0) for i in range(m)]
-    y_fixed = [sum((lam[i] * t[i][n + r] for i in range(m)), Fraction(0))
-               for r in range(m)]
-    # undo the row sign fixes
-    y = []
-    for i in range(m):
-        s = -1 if b[i] < 0 else 1
-        y.append(s * y_fixed[i])
+    # Farkas: the optimal dual of the sign-fixed system is 1 minus the
+    # reduced cost of each artificial column; undo the row sign fixes
+    y = [(-1 if b[i] < 0 else 1) * (1 - cost[n + i]) for i in range(m)]
     return "infeasible", y
 
 
@@ -188,12 +173,14 @@ def is_balanced(inst: BalancednessInstance) -> BalancednessCertificate:
     if k == 0:
         cert = BalancednessCertificate(True, [], [], [])
         return cert
-    all_vecs = [("p", i, v) for i, v in enumerate(inst.p_vectors)] + \
-               [("n", j, v) for j, v in enumerate(inst.n_vectors)]
-    rank_rows = [list(v) for _, _, v in all_vecs]
-    full_rank = bool(rank_rows) and linalg.frac_rank(rank_rows) == k
-    if not full_rank:
-        phi = _orthogonal_functional(rank_rows, k)
+    labels = [("p", i) for i in range(len(inst.p_vectors))] + \
+             [("n", j) for j in range(len(inst.n_vectors))]
+    rows = [list(v) for v in inst.p_vectors + inst.n_vectors]
+    # with the vectors as columns, the greedy pivots are the first basis in
+    # P-then-N order
+    pivots = linalg.rref(linalg.transpose(rows))[1] if rows else []
+    if len(pivots) < k:
+        phi = _orthogonal_functional(rows, k)
         cert = BalancednessCertificate(False, functional=phi)
         if not cert.verify(inst):
             raise AssertionError("unbalanced witness failed its own check")
@@ -214,8 +201,8 @@ def is_balanced(inst: BalancednessInstance) -> BalancednessCertificate:
         coeffs = [Fraction(1) + x[i] for i in range(np)]
         ncoeffs = [x[np + 2 * j] - x[np + 2 * j + 1]
                    for j in range(len(inst.n_vectors))]
-        span_sel = _spanning_subset(inst, k)
-        cert = BalancednessCertificate(True, coeffs, ncoeffs, span_sel)
+        cert = BalancednessCertificate(True, coeffs, ncoeffs,
+                                       [labels[c] for c in pivots])
         if not cert.verify(inst):
             raise AssertionError("balanced witness failed its own check")
         return cert
@@ -233,20 +220,6 @@ def _orthogonal_functional(rows: List[List[Fraction]], k: int) -> Vec:
     if not basis:
         raise AssertionError("rank-deficient system with trivial orthogonal complement")
     return tuple(basis[0])
-
-
-def _spanning_subset(inst: BalancednessInstance, k: int):
-    chosen: List[Tuple[str, int]] = []
-    rows: List[List[Fraction]] = []
-    for tag, vecs in (("p", inst.p_vectors), ("n", inst.n_vectors)):
-        for i, v in enumerate(vecs):
-            if len(chosen) == k:
-                return chosen
-            cand = rows + [list(v)]
-            if linalg.frac_rank(cand) > len(rows):
-                rows = cand
-                chosen.append((tag, i))
-    return chosen
 
 
 def is_balanced_bruteforce(inst: BalancednessInstance) -> bool:

@@ -32,7 +32,7 @@ refers to the symmetric sesquilinear form i*s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .exact import Signature
 from .groups import Family, GroupSpec
@@ -135,14 +135,36 @@ _KIND_ORDER = ["cls", "real_cls", "conj_pair", "sesq_self", "sesq_pair",
                "imag_pair", "split_pair", "quad_pair", "dual_pair", "zero"]
 
 
-def _ambient_contribution(spec: GroupSpec, b: Block) -> int:
-    if b.kind in ("cls", "real_cls", "sesq_self", "zero"):
-        return b.d_eff if b.kind != "zero" else b.dim
+def ambient_contribution(b: Block) -> int:
+    """Dimension of the standard representation the block covers."""
+    if b.kind in ("cls", "real_cls", "sesq_self"):
+        return b.d_eff
+    if b.kind == "zero":
+        return b.dim
     if b.kind in ("conj_pair", "sesq_pair", "imag_pair", "split_pair", "dual_pair"):
         return 2 * b.d_eff
     if b.kind == "quad_pair":
         return 4 * b.d_eff
     raise AssertionError(b.kind)
+
+
+def form_signature(blocks: Sequence[Block]) -> Tuple[int, int]:
+    """(pos, neg) of the form the blocks carry: the Hermitian form of SU(p,q),
+    the form on the real points of SO(p,q), or s = B(tau.,.) on the real model
+    of Sp(p,q). Only SU, SO and Sp blocks carry one."""
+    pos = neg = 0
+    for b in blocks:
+        if b.kind in ("sesq_self", "zero"):
+            pos, neg = pos + b.sig.pos, neg + b.sig.neg
+        elif b.kind == "imag_pair":
+            pos, neg = pos + 2 * b.sig.pos, neg + 2 * b.sig.neg
+        elif b.kind in ("sesq_pair", "split_pair"):
+            pos, neg = pos + b.d_eff, neg + b.d_eff
+        elif b.kind == "quad_pair":
+            pos, neg = pos + 2 * b.d_eff, neg + 2 * b.d_eff
+        else:
+            raise AssertionError(f"{b.kind} blocks carry no form signature")
+    return pos, neg
 
 
 def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
@@ -158,7 +180,7 @@ def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
             raise ScenarioError("block dimensions and multiplicities must be >= 1")
         out.append(b)
 
-    total = sum(_ambient_contribution(spec, b) for b in out)
+    total = sum(ambient_contribution(b) for b in out)
     n = spec.ambient_dim
     if total != n:
         raise ScenarioError(f"blocks cover dimension {total}, ambient needs {n}")
@@ -190,35 +212,18 @@ def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
                 raise ScenarioError("for Sp(2m,R) and SO*(2m) the zero block has vanishing signature")
 
     if spec.family == Family.SU:
-        pos = sum(b.sig.pos for b in out if b.kind == "sesq_self") + \
-            sum(b.d_eff for b in out if b.kind == "sesq_pair")
-        neg = sum(b.sig.neg for b in out if b.kind == "sesq_self") + \
-            sum(b.d_eff for b in out if b.kind == "sesq_pair")
+        pos, neg = form_signature(out)
         if (pos, neg) != (spec.p, spec.q):
             raise ScenarioError(
                 f"block signatures add up to ({pos},{neg}), the form has ({spec.p},{spec.q})")
     if spec.family == Family.SO:
-        pos = sum(2 * b.sig.pos for b in out if b.kind == "imag_pair") + \
-            sum(b.d_eff for b in out if b.kind == "split_pair") + \
-            sum(2 * b.d_eff for b in out if b.kind == "quad_pair") + \
-            sum(b.sig.pos for b in out if b.kind == "zero")
-        neg = sum(2 * b.sig.neg for b in out if b.kind == "imag_pair") + \
-            sum(b.d_eff for b in out if b.kind == "split_pair") + \
-            sum(2 * b.d_eff for b in out if b.kind == "quad_pair") + \
-            sum(b.sig.neg for b in out if b.kind == "zero")
+        pos, neg = form_signature(out)
         if (pos, neg) != (spec.p, spec.q):
             raise ScenarioError(
                 f"real points carry signature ({pos},{neg}), the form has ({spec.p},{spec.q})")
     if spec.family == Family.SP:
         # s = B(tau.,.) restricted to the real model has signature (2q, 2p)
-        pos = sum(2 * b.sig.pos for b in out if b.kind == "imag_pair") + \
-            sum(b.d_eff for b in out if b.kind == "split_pair") + \
-            sum(2 * b.d_eff for b in out if b.kind == "quad_pair") + \
-            sum(b.sig.pos for b in out if b.kind == "zero")
-        neg = sum(2 * b.sig.neg for b in out if b.kind == "imag_pair") + \
-            sum(b.d_eff for b in out if b.kind == "split_pair") + \
-            sum(2 * b.d_eff for b in out if b.kind == "quad_pair") + \
-            sum(b.sig.neg for b in out if b.kind == "zero")
+        pos, neg = form_signature(out)
         if (pos, neg) != (2 * spec.q, 2 * spec.p):
             raise ScenarioError(
                 f"s-signatures add up to ({pos},{neg}); Sp({spec.p},{spec.q}) "

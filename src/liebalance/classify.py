@@ -24,7 +24,6 @@ from .groups import Family, GroupSpec
 from .roots import RootSystem
 from .toledo import (Decoration, Propagation, Status, SurfaceData,
                      propagate_constraints)
-from . import linalg
 
 
 class InternalConsistencyError(RuntimeError):
@@ -90,7 +89,10 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     prop = propagate_constraints(spec, system, decorations, surface)
     genus_ok = surface.genus_bound_ok(spec)
 
-    _assert_weights_span(system)
+    if not system.adjoint_spans:
+        raise ScenarioError(
+            "adjoint weights do not span: the datum is not the center of a "
+            "centralizer in a semisimple group")
 
     reason = _short_circuit(spec, system)
     if reason is not None:
@@ -150,20 +152,6 @@ def _decide(spec, surface, system, prop: Propagation, genus_ok,
     descriptor = _match_rigid_shape(spec, system, prop)
     return FlexVerdict("rigid_maximal", "unbalanced", descriptor=descriptor,
                        genus_bound_ok=genus_ok, certificate=cert)
-
-
-def _assert_weights_span(system: RootSystem):
-    k = system.dim_c
-    if k == 0:
-        return
-    rows = []
-    for r in system.adjoint:
-        rows.append(list(r.re))
-        rows.append(list(r.im))
-    if not rows or linalg.frac_rank(rows) != k:
-        raise ScenarioError(
-            "adjoint weights do not span: the datum is not the center of a "
-            "centralizer in a semisimple group")
 
 
 def _match_rigid_shape(spec: GroupSpec, system: RootSystem,

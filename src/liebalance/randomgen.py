@@ -90,11 +90,7 @@ def _draw(family: Family, rng: random.Random, cap: int):
                     continue
                 bl.append(bk.sesq_self(d, (cplus, cminus), (rplus, rminus)))
                 total += d * (rplus + rminus)
-        p = sum(b.sig.pos for b in bl if b.kind == "sesq_self") + \
-            sum(b.d_eff for b in bl if b.kind == "sesq_pair")
-        q = sum(b.sig.neg for b in bl if b.kind == "sesq_self") + \
-            sum(b.d_eff for b in bl if b.kind == "sesq_pair")
-        return groups.su(p, q), bl
+        return groups.su(*bk.form_signature(bl)), bl
     if family in (Family.SO, Family.SP_R, Family.SP, Family.SO_STAR):
         return _draw_orth(family, rng, cap)
     if family in (Family.SO_C, Family.SP_C):
@@ -168,22 +164,12 @@ def _draw_orth(family: Family, rng: random.Random, cap: int):
                 bl.append(bk.zero_block(d0, sig))
                 total += d0
     if family == Family.SO:
-        p = sum(2 * b.sig.pos for b in bl if b.kind == "imag_pair") + \
-            sum(b.d_eff for b in bl if b.kind == "split_pair") + \
-            sum(2 * b.d_eff for b in bl if b.kind == "quad_pair") + \
-            sum(b.sig.pos for b in bl if b.kind == "zero")
-        q = total - p
-        return groups.so(p, q), bl
+        return groups.so(*bk.form_signature(bl)), bl
     if family == Family.SP_R:
         return groups.sp_r(total), bl
     if family == Family.SO_STAR:
         return groups.so_star(total), bl
-    s_pos = sum(2 * b.sig.pos for b in bl if b.kind == "imag_pair") + \
-        sum(b.d_eff for b in bl if b.kind == "split_pair") + \
-        sum(2 * b.d_eff for b in bl if b.kind == "quad_pair") + \
-        sum(b.sig.pos for b in bl if b.kind == "zero")
-    q2 = s_pos
-    p2 = total - s_pos
+    q2, p2 = bk.form_signature(bl)
     if q2 % 2 or p2 % 2:
         raise ValueError("odd quaternionic signature")
     return groups.sp(p2 // 2, q2 // 2), bl

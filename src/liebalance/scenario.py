@@ -9,9 +9,10 @@ stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import blocks as bk
 from . import groups
@@ -39,6 +40,27 @@ class Scenario:
     options: Options = field(default_factory=Options)
 
 
+def _int(value) -> int:
+    """A whole number; refuses booleans and fractional values, which int()
+    would read as 0/1 or truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _pair(value) -> Tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"expected a pair of integers, got {value!r}")
+    return _int(value[0]), _int(value[1])
+
+
+def _list(d: Dict, key: str) -> List:
+    value = d.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key} must be a JSON list, got {value!r}")
+    return value
+
+
 def group_to_json(spec: GroupSpec) -> Dict:
     f = spec.family
     if f in (Family.SL_R, Family.SL_C, Family.SO_C):
@@ -51,6 +73,8 @@ def group_to_json(spec: GroupSpec) -> Dict:
 
 
 def group_from_json(d: Dict) -> GroupSpec:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"group must be a JSON object, got {d!r}")
     try:
         fam = Family(d["family"])
     except (KeyError, ValueError) as exc:
@@ -98,9 +122,11 @@ def block_to_json(b: Block) -> Dict:
 def block_from_json(d: Dict) -> Block:
     try:
         kind = d["kind"]
-        dim = int(d["dim"])
-        mult = int(d.get("mult", 1))
+        dim = _int(d["dim"])
+        mult = _int(d.get("mult", 1))
         label = d.get("label", "")
+        if not isinstance(label, str):
+            raise ScenarioError(f"block label must be a string, got {label!r}")
         if kind == "cls":
             return bk.cls(dim, mult, label)
         if kind == "real_cls":
@@ -108,11 +134,11 @@ def block_from_json(d: Dict) -> Block:
         if kind == "conj_pair":
             return bk.conj_pair(dim, mult, label)
         if kind == "sesq_self":
-            return bk.sesq_self(dim, tuple(d["class_sig"]), tuple(d["mult_sig"]), label)
+            return bk.sesq_self(dim, _pair(d["class_sig"]), _pair(d["mult_sig"]), label)
         if kind == "sesq_pair":
             return bk.sesq_pair(dim, mult, label)
         if kind == "imag_pair":
-            return bk.imag_pair(dim, mult, tuple(d["sig"]), label)
+            return bk.imag_pair(dim, mult, _pair(d["sig"]), label)
         if kind == "split_pair":
             return bk.split_pair(dim, mult, label)
         if kind == "quad_pair":
@@ -120,7 +146,7 @@ def block_from_json(d: Dict) -> Block:
         if kind == "dual_pair":
             return bk.dual_pair(dim, mult, label)
         if kind == "zero":
-            sig = tuple(d["sig"]) if "sig" in d else None
+            sig = _pair(d["sig"]) if "sig" in d else None
             return bk.zero_block(dim, sig, label)
     except ScenarioError:
         raise
@@ -141,7 +167,7 @@ def decoration_from_json(d: Dict) -> Decoration:
         status = Status(d["status"])
         value = Fraction(d["toledo_quanta"]) if "toledo_quanta" in d else None
         return Decoration(str(d["target"]), status, value)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise ScenarioError(f"bad decoration {d!r}: {exc}") from exc
 
 
@@ -165,24 +191,40 @@ def from_json(d: Dict) -> Scenario:
     spec = group_from_json(d.get("group", {}))
     surf = d.get("surface", {})
     try:
-        surface = SurfaceData(int(surf["genus"]))
+        surface = SurfaceData(_int(surf["genus"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad surface data {surf!r}: {exc}") from exc
-    blocks = [block_from_json(b) for b in d.get("blocks", [])]
-    decos = [decoration_from_json(x) for x in d.get("decorations", [])]
-    opt = d.get("options", {})
-    options = Options(bool(opt.get("oracle", False)),
-                      float(opt.get("tolerance", 1e-9)),
-                      int(opt.get("seed", 0)), int(opt.get("cap", 12)))
-    return Scenario(spec, surface, blocks, decos, options)
+    blocks = [block_from_json(b) for b in _list(d, "blocks")]
+    decos = [decoration_from_json(x) for x in _list(d, "decorations")]
+    return Scenario(spec, surface, blocks, decos, _options_from_json(d.get("options", {})))
+
+
+def _options_from_json(opt) -> Options:
+    if not isinstance(opt, dict):
+        raise ScenarioError(f"options must be a JSON object, got {opt!r}")
+    try:
+        oracle = opt.get("oracle", False)
+        if not isinstance(oracle, bool):
+            raise ValueError(f"oracle must be true or false, got {oracle!r}")
+        tolerance = opt.get("tolerance", 1e-9)
+        if isinstance(tolerance, bool) or not math.isfinite(float(tolerance)):
+            raise ValueError(f"tolerance must be a finite number, got {tolerance!r}")
+        return Options(oracle, float(tolerance), _int(opt.get("seed", 0)),
+                       _int(opt.get("cap", 12)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad options {opt!r}: {exc}") from exc
 
 
 def load(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from exc
     return from_json(data)
 
 

@@ -122,39 +122,25 @@ def _configurations(family: Family, bound: int):
 
 
 def _spec_for(family: Family, blocks_: List[Block]) -> Optional[GroupSpec]:
-    total = sum({"cls": b.d_eff, "real_cls": b.d_eff, "sesq_self": b.d_eff,
-                 "zero": b.dim}.get(b.kind, 0) +
-                (2 * b.d_eff if b.kind in ("conj_pair", "sesq_pair", "imag_pair",
-                                           "split_pair", "dual_pair") else 0) +
-                (4 * b.d_eff if b.kind == "quad_pair" else 0)
-                for b in blocks_)
+    total = sum(bk.ambient_contribution(b) for b in blocks_)
     try:
         if family == Family.SL_R:
             return groups.sl_r(total)
         if family == Family.SL_H:
             return groups.sl_h(total // 2) if total % 2 == 0 else None
         if family == Family.SU:
-            p = sum(b.sig.pos for b in blocks_ if b.kind == "sesq_self") + \
-                sum(b.d_eff for b in blocks_ if b.kind == "sesq_pair")
-            return groups.su(p, total - p)
+            return groups.su(*bk.form_signature(blocks_))
         if family == Family.SO:
-            p = sum(2 * b.sig.pos for b in blocks_ if b.kind == "imag_pair") + \
-                sum(b.d_eff for b in blocks_ if b.kind == "split_pair") + \
-                sum(2 * b.d_eff for b in blocks_ if b.kind == "quad_pair") + \
-                sum(b.sig.pos for b in blocks_ if b.kind == "zero")
-            return groups.so(p, total - p)
+            return groups.so(*bk.form_signature(blocks_))
         if family == Family.SP_R:
             return groups.sp_r(total)
         if family == Family.SO_STAR:
             return groups.so_star(total)
         if family == Family.SP:
-            spos = sum(2 * b.sig.pos for b in blocks_ if b.kind == "imag_pair") + \
-                sum(b.d_eff for b in blocks_ if b.kind == "split_pair") + \
-                sum(2 * b.d_eff for b in blocks_ if b.kind == "quad_pair") + \
-                sum(b.sig.pos for b in blocks_ if b.kind == "zero")
-            if spos % 2 or (total - spos) % 2:
+            spos, sneg = bk.form_signature(blocks_)
+            if spos % 2 or sneg % 2:
                 return None
-            return groups.sp((total - spos) // 2, spos // 2)
+            return groups.sp(sneg // 2, spos // 2)
     except ValueError:
         return None
     return None

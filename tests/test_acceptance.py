@@ -8,8 +8,8 @@ Tolerances and bounds are pinned here and nowhere else:
      agreement, under 2 min;
   3. dimension audits, exact, on every synthesized instance;
   4. classification sweeps (SU p+q<=6, SO p+q<=8, Sp(2m,R) 2m<=8,
-     SO*(2n) 2n<=12, SL(n,R)/SL(m,H) n<=8) reproduce the rigid list with no
-     false positives or negatives, under 10 min;
+     SO*(2n) 2n<=12, SL(n,R)/SL(m,H) n<=8, Sp(p,q) 2(p+q)<=8) reproduce the
+     rigid list with no false positives or negatives, under 10 min;
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -154,7 +154,8 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
 def _sweeps():
     if not _SWEEP_CACHE:
         plan = [(Family.SU, 6), (Family.SO, 8), (Family.SP_R, 8),
-                (Family.SO_STAR, 12), (Family.SL_R, 8), (Family.SL_H, 8)]
+                (Family.SO_STAR, 12), (Family.SL_R, 8), (Family.SL_H, 8),
+                (Family.SP, 8)]
         t0 = time.time()
         for fam, bound in plan:
             _SWEEP_CACHE[fam] = run_sweep(fam, bound)
@@ -183,7 +184,7 @@ def test_criterion_4_classification_sweeps(capsys):
     assert {r["group"] for r in st.rigid} == {"SO*(6)", "SO*(10)"}
     assert all(r["descriptor"] in ("SO*(4) x SO(2)", "SO*(8) x SO(2)")
                for r in st.rigid)
-    for fam in (Family.SO, Family.SP_R, Family.SL_R, Family.SL_H):
+    for fam in (Family.SO, Family.SP_R, Family.SL_R, Family.SL_H, Family.SP):
         assert sweeps[fam].rigid == []
     _announce(capsys, f"ACCEPTANCE 4 PASS  sweeps reproduce the rigid "
                       f"classification in {dt:.1f}s: " + "; ".join(lines))

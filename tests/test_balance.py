@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liebalance.balance import (BalancednessInstance, is_balanced,
                                 is_balanced_bruteforce)
@@ -100,3 +102,44 @@ def test_certificates_always_verify_and_match_bruteforce():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         inst(2, [[1, 0, 0]], [])
+
+
+def _first_basis(vectors):
+    """Indices of the vectors that lie outside the span of those kept before
+    them, by Fraction elimination against the kept echelon rows."""
+    echelon, kept = [], []
+    for idx, v in enumerate(vectors):
+        r = list(v)
+        for piv, row in echelon:
+            if r[piv] != 0:
+                f = r[piv]
+                r = [a - f * b for a, b in zip(r, row)]
+        piv = next((c for c, x in enumerate(r) if x != 0), None)
+        if piv is not None:
+            echelon.append((piv, [x / r[piv] for x in r]))
+            kept.append(idx)
+    return kept
+
+
+small_fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+def instances():
+    def of_dim(k):
+        vec = st.lists(small_fraction, min_size=k, max_size=k)
+        return st.tuples(st.just(k), st.lists(vec, max_size=7), st.lists(vec, max_size=5))
+    return st.integers(1, 4).flatmap(of_dim)
+
+
+@settings(deadline=None, max_examples=300)
+@given(instances())
+def test_spanning_indices_are_the_first_basis_in_p_then_n_order(case):
+    k, ps, ns = case
+    i = inst(k, ps, ns)
+    cert = is_balanced(i)
+    assert cert.balanced == is_balanced_bruteforce(i)
+    if cert.balanced:
+        labels = [("p", j) for j in range(len(ps))] + [("n", j) for j in range(len(ns))]
+        first = _first_basis(ps + ns)
+        assert len(first) == k
+        assert cert.spanning_indices == [labels[j] for j in first]

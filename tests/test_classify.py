@@ -1,4 +1,7 @@
+import pytest
+
 from liebalance import blocks, groups
+from liebalance.blocks import ScenarioError
 from liebalance.classify import classify
 from liebalance.roots import root_system
 from liebalance.toledo import Decoration, Status, SurfaceData
@@ -142,3 +145,14 @@ def test_certificates_attached_and_verified():
     sys = root_system(spec, bl)
     assert v.certificate is not None and not v.certificate.balanced
     assert v.certificate.verify(balance_instance(sys, prop))
+
+
+def test_abelian_so2c_builds_but_does_not_classify():
+    # SO(2,C) is a torus: it has a root system (the oracle uses it) but no
+    # adjoint weights, so they cannot span c*
+    spec = groups.so_c(2)
+    sys = root_system(spec, [blocks.dual_pair(1)])
+    assert sys.adjoint == [] and not sys.adjoint_spans
+    with pytest.raises(ScenarioError, match="adjoint weights do not span"):
+        classify(spec, SurfaceData(genus=2), sys, [])
+    assert root_system(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)]).adjoint_spans

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liebalance import blocks, groups
 from liebalance import report as report_mod
@@ -173,3 +176,103 @@ def test_cli_check_so_star_unknown_weight_pair(tmp_path, capsys):
     assert rep["verdict"]["reason"] == "undetermined_maximality"
     assert rep["verdict"]["unknown"] == ["b0:+l"]
     assert rep["oracle"]["problems"] == []
+
+
+def _replace(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value", [
+    (("group",), "SU"),
+    (("options",), 5),
+    (("options", "cap"), "x"),
+    (("options", "tolerance"), "x"),
+    (("options", "seed"), "x"),
+    (("blocks", 0, "dim"), 1.5),
+])
+def test_cli_check_malformed_scenario_exits_3(tmp_path, capsys, path, value):
+    doc = su23_scenario()
+    _replace(doc, path, value)
+    with pytest.raises(ScenarioError):
+        sc_mod.from_json(doc)
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["check", str(file)]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_check_abelian_so2c_exits_3(tmp_path, capsys):
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps({
+        "schema": "liebalance-scenario/1",
+        "group": {"family": "SO_C", "n": 2},
+        "surface": {"genus": 2},
+        "blocks": [{"kind": "dual_pair", "dim": 1, "mult": 1}],
+    }))
+    assert main(["check", str(file)]) == 3
+    assert "adjoint weights do not span" in capsys.readouterr().err
+
+
+def test_cli_check_unreadable_file_exits_3(tmp_path):
+    file = tmp_path / "sc.json"
+    file.write_bytes(b'{"schema": "\xff"}')
+    assert main(["check", str(file)]) == 3
+    assert main(["check", str(tmp_path / "missing.json")]) == 3
+
+
+FIELD_NAMES = ["family", "n", "m", "p", "q", "genus", "kind", "dim", "mult", "sig",
+               "class_sig", "mult_sig", "label", "target", "status", "toledo_quanta",
+               "oracle", "tolerance", "seed", "cap"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON document, containers included."""
+    out = [prefix] if prefix else []
+    if isinstance(value, dict):
+        for key, child in value.items():
+            out.extend(_paths(child, prefix + (key,)))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            out.extend(_paths(child, prefix + (i,)))
+    return out
+
+
+BASE_DOCUMENTS = [
+    su23_scenario(),
+    {"schema": "liebalance-scenario/1", "group": {"family": "SO", "p": 4, "q": 2},
+     "surface": {"genus": 2},
+     "blocks": [{"kind": "imag_pair", "dim": 1, "mult": 1, "sig": [1, 0]},
+                {"kind": "zero", "dim": 4, "sig": [2, 2]}],
+     "decorations": [{"target": "0", "status": "maximal_positive",
+                      "toledo_quanta": "1/2"}],
+     "options": {"oracle": False, "tolerance": 1e-9, "seed": 0, "cap": 12}},
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(BASE_DOCUMENTS).flatmap(
+    lambda doc: st.tuples(st.just(doc), st.lists(
+        st.tuples(st.sampled_from(_paths(doc)), json_values), min_size=1, max_size=3))))
+def test_from_json_gives_a_scenario_or_a_scenario_error(case):
+    base, replacements = case
+    doc = copy.deepcopy(base)
+    for path, value in replacements:
+        try:
+            _replace(doc, path, value)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier replacement removed this position
+    try:
+        sc = sc_mod.from_json(doc)
+    except ScenarioError:
+        return
+    again = sc_mod.from_json(json.loads(json.dumps(sc_mod.to_json(sc))))
+    assert sc_mod.to_json(again) == sc_mod.to_json(sc)
+
