@@ -2,17 +2,20 @@
 
 The same block datum becomes an explicit matrix model -- the invariant form,
 the antilinear structure, the center as honest block-scalar matrices. The
-oracle then recovers the weight decomposition numerically: a basis of the
-ambient algebra from a singular value decomposition, simultaneous
-eigendecomposition of the adjoint action of the center, eigenvalue counts of
-the Hermitian Gram matrices of Trace(sigma(X) X'). Agreement with the exact
-side is a genuine cross-check of the closed-form weight and signature rules.
+oracle then recovers the weight decomposition numerically: an orthonormal
+basis of the ambient algebra, the adjoint action of the center in Kronecker
+form, every weight space from one Hermitian eigendecomposition of a random
+combination of the ad matrices, and eigenvalue counts of the Hermitian Gram
+matrices of Trace(sigma(X) X'). Agreement with the exact side is a genuine
+cross-check of the closed-form weight and signature rules. The report also
+says how far each accepted quantity sits from its tolerance.
 """
 
 import random
 
 from liebalance import blocks, groups
-from liebalance.oracle import (brute_force_roots, compare_reports,
+from liebalance.oracle import (CLUSTER_TOL, EXACT_TOL, GRAM_TOL, SIGMA_TOL,
+                               brute_force_roots, compare_reports,
                                synthesize_model)
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import root_system
@@ -37,6 +40,15 @@ print(f"  zero weight space: dim {report.zero_dim}")
 print(f"  algebra dimension: {report.dim_g} "
       f"(closed form: {spec.dim_complexified})")
 print(f"  sigma equivariance of weight spaces: {report.sigma_equivariant}")
+print("diagnostics (value, then the tolerance it must respect):")
+print(f"  smallest gap between eigenvalue clusters {report.min_cluster_gap:.3e}"
+      f"  (>= {100 * CLUSTER_TOL:.0e})")
+print(f"  largest normality residual of ad        {report.max_normality_residual:.3e}"
+      f"  (<= {EXACT_TOL:.0e})")
+print(f"  largest Hermitian residual of a Gram    {report.max_gram_residual:.3e}"
+      f"  (<= {GRAM_TOL:.0e})")
+print(f"  largest sigma residual off target space {report.max_sigma_residual:.3e}"
+      f"  (<= {SIGMA_TOL:.0e})")
 print()
 
 problems = compare_reports(system, report)

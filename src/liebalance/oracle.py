@@ -1,12 +1,22 @@
 """Floating-point verification of the symbolic weight decomposition.
 
 The oracle takes the same block data, builds the explicit matrix model, and
-then ignores everything the symbolic side knows: it recovers the weight
-decomposition by simultaneous eigendecomposition of the adjoint action of the
-center on a numerically computed basis of the ambient algebra, and the
-signatures by eigenvalue counts of the Hermitian Gram matrices of
-Trace(sigma(X) X'). Agreement with the symbolic report is then a genuine
-cross-check of the closed-form weight and signature rules.
+then ignores everything the symbolic side knows. It recovers the weight
+decomposition numerically:
+
+- an orthonormal basis of the ambient algebra (B^-1 times the skew or
+  symmetric matrices for a form B, units and the traceless diagonal for sl);
+- the adjoint action of each center element in that basis, built in
+  Kronecker form and required to be normal;
+- every weight space at once from one ``eigh`` of the Hermitian part of a
+  random combination of the ad matrices, each weight read from
+  diag(V^H ad V);
+- the signatures by eigenvalue counts of the Hermitian Gram matrices of
+  Trace(sigma(X) X'), and the sigma equivariance of the weight spaces.
+
+Agreement with the symbolic report is then a genuine cross-check of the
+closed-form weight and signature rules. Each report also carries how far the
+accepted quantities sit from their tolerances.
 
 Floats only live in this module. Every comparison carries an explicit
 tolerance: 1e-9 for eigenvalue clustering, 1e-12 for identities.
@@ -14,6 +24,8 @@ tolerance: 1e-9 for eigenvalue clustering, 1e-12 for identities.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +39,9 @@ from .roots import RootSystem, root_system
 
 CLUSTER_TOL = 1e-9
 EXACT_TOL = 1e-12
+GRAM_TOL = 1e-8     # Hermitian residual of a Gram matrix; zero threshold of its eigenvalues
+SIGMA_TOL = 1e-7    # relative residual of sigma(X) off its target weight space
+RESAMPLES = 8       # random combinations tried before the decomposition gives up
 DEFAULT_CAP = 12
 
 
@@ -52,6 +67,12 @@ class NumericRootReport:
     dim_g: int
     zero_dim: int
     sigma_equivariant: bool
+    # Diagnostics, each beside the tolerance it must respect. The Gram and
+    # sigma residuals are None for complex groups, which have no sigma.
+    min_cluster_gap: float                # >= 100 * tol; inf for one cluster
+    max_normality_residual: float         # <= EXACT_TOL
+    max_gram_residual: Optional[float]    # <= GRAM_TOL
+    max_sigma_residual: Optional[float]   # <= SIGMA_TOL when sigma_equivariant
 
 
 @dataclass
@@ -65,11 +86,12 @@ class FloatModel:
     centers: List[np.ndarray]
 
     def sigma(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """sigma of a matrix, or of each matrix in a stack (last two axes)."""
         if self.T is not None:
             t_inv = self.eta * np.conj(self.T)
             return self.T @ np.conj(x) @ t_inv
         if self.s is not None:
-            return -self.s @ np.conj(x).T @ self.s
+            return -self.s @ np.swapaxes(np.conj(x), -1, -2) @ self.s
         return None
 
 
@@ -111,36 +133,95 @@ def _check_float_model(fm: FloatModel):
 
 
 def _algebra_basis(fm: FloatModel) -> np.ndarray:
-    """Orthonormal basis (rows, flattened) of the ambient complex algebra."""
+    """Orthonormal basis (rows, flattened) of the ambient complex algebra.
+
+    With a form B the algebra is {X : X^T B + B X = 0}. BX is skew when B is
+    symmetric and symmetric when B is skew, so the algebra is B^-1 times the
+    skew (or symmetric) matrices. Without a form it is sl(n): the off-diagonal
+    units and an orthonormal basis of the traceless diagonal."""
     n = fm.n
     if fm.B is None:
-        # traceless matrices
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    e = np.zeros((n, n), dtype=complex)
-                    e[i, j] = 1.0
-                    rows.append(e.reshape(-1))
-        for i in range(n - 1):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, i] = 1.0
-            e[i + 1, i + 1] = -1.0
-            rows.append(e.reshape(-1) / np.sqrt(2.0))
-        basis = np.array(rows)
-        q, _ = np.linalg.qr(basis.T)
-        return q.T
-    # solve the linear system L(X) = X^T B + B X = 0 on flattened X
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[a, b] = 1.0
-            cols.append((e.T @ fm.B + fm.B @ e).reshape(-1))
-    lmat = np.array(cols).T
-    _, sv, vh = np.linalg.svd(lmat)
-    nullity = n * n - int((sv > 1e-10).sum())
-    return vh[n * n - nullity:, :].conj()
+        off = [i * n + j for i in range(n) for j in range(n) if i != j]
+        # columns e_i - e_(i+1) span the traceless diagonal
+        q, _ = np.linalg.qr(np.eye(n, n - 1) - np.eye(n, n - 1, k=-1))
+        basis = np.zeros((n * n - 1, n * n), dtype=complex)
+        basis[np.arange(len(off)), off] = 1.0
+        basis[len(off):, np.arange(n) * (n + 1)] = q.T
+        return basis
+    if np.abs(fm.B - fm.B.T).max() <= EXACT_TOL:
+        rows, cols = np.triu_indices(n, 1)     # E_ij - E_ji
+        sign = -1.0
+    elif np.abs(fm.B + fm.B.T).max() <= EXACT_TOL:
+        rows, cols = np.triu_indices(n)        # E_ij + E_ji
+        sign = 1.0
+    else:
+        raise OracleError("invariant form is neither symmetric nor skew")
+    m = len(rows)
+    units = np.zeros((m, n, n), dtype=complex)
+    units[np.arange(m), rows, cols] = 1.0
+    units[np.arange(m), cols, rows] = sign
+    q, _ = np.linalg.qr((np.linalg.inv(fm.B) @ units).reshape(m, n * n).T)
+    return q.T
+
+
+def _ad_matrices(fm: FloatModel, basis: np.ndarray) -> Tuple[List[np.ndarray], float]:
+    """ad(z) of each center element in the orthonormal basis, with the largest
+    normality residual |ad ad^H - ad^H ad|; raises unless every ad is normal
+    (a non-semisimple center element gives a non-normal ad)."""
+    eye = np.eye(fm.n)
+    left, right = basis.conj(), basis.T
+    # vec(z X - X z) = (z (x) I - I (x) z^T) vec(X) for row-major vec
+    ads = [left @ (np.kron(z, eye) - np.kron(eye, z.T)) @ right for z in fm.centers]
+    normality = max((float(np.abs(a @ a.conj().T - a.conj().T @ a).max()) for a in ads),
+                    default=0.0)
+    if normality > EXACT_TOL:
+        raise OracleError(f"ad of a center element is not normal ({normality})")
+    return ads, normality
+
+
+def _joint_eigenspaces(ads: List[np.ndarray], dim_g: int, tol: float, seed: int):
+    """Weight spaces of the commuting normal family ``ads`` from one ``eigh``.
+
+    The Hermitian part of a random complex combination has one eigenvalue per
+    weight, Re(sum c_j lambda_j). Its sorted eigenvalues are clustered (a value
+    joins the open cluster while within 10*tol of the cluster's first value);
+    a combination is resampled when two cluster means lie within 100*tol, or
+    when a cluster is not a joint eigenspace of every ad. Returns the unitary
+    eigenvector matrix, the cluster boundaries, the weight of each cluster
+    (one row per cluster, read from diag(V^H ad V)) and the smallest gap."""
+    rng = random.Random(seed)
+    problem = ""
+    for _ in range(RESAMPLES):
+        m = np.zeros((dim_g, dim_g), dtype=complex)
+        for a in ads:
+            m += cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0.0, 2 * math.pi)) * a
+        ev, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        vals = ev.tolist()
+        starts = [0]
+        for i in range(1, dim_g):
+            if vals[i] - vals[starts[-1]] >= 10 * tol:
+                starts.append(i)
+        bounds = np.array(starts + [dim_g])
+        sizes = np.diff(bounds)
+        means = np.add.reduceat(ev, bounds[:-1]) / sizes
+        gap = float(np.diff(means).min()) if len(means) > 1 else math.inf
+        if gap < 100 * tol:
+            problem = "eigenvalue clustering stayed ambiguous after resampling"
+            continue
+        values = np.zeros((len(sizes), len(ads)), dtype=complex)
+        residual = 0.0
+        vecs_conj = vecs.conj()
+        for j, a in enumerate(ads):
+            av = a @ vecs
+            diag = np.einsum("ij,ij->j", vecs_conj, av)
+            values[:, j] = np.add.reduceat(diag, bounds[:-1]) / sizes
+            residual = max(residual, float(np.abs(
+                av - vecs * np.repeat(values[:, j], sizes)).max()))
+        if residual > 10 * tol:
+            problem = f"an eigenvalue cluster is not a joint eigenspace ({residual})"
+            continue
+        return vecs, bounds, values, gap
+    raise OracleError(problem)
 
 
 def brute_force_roots(system: RootSystem, fm: FloatModel, tol: float = CLUSTER_TOL,
@@ -149,125 +230,70 @@ def brute_force_roots(system: RootSystem, fm: FloatModel, tol: float = CLUSTER_T
     n = fm.n
     basis = _algebra_basis(fm)
     dim_g = basis.shape[0]
-    k = len(fm.centers)
+    ads, normality = _ad_matrices(fm, basis)
+    vecs, bounds, values, gap = _joint_eigenspaces(ads, dim_g, tol, seed)
+    clusters = list(zip(bounds[:-1], bounds[1:]))
+    nonzero = [bool((np.abs(v) > 10 * tol).any()) for v in values]
 
-    def as_mats(rows: np.ndarray) -> List[np.ndarray]:
-        return [r.reshape(n, n) for r in rows]
-
-    ad_mats = []
-    pinv = basis.conj().T   # orthonormal rows: pseudo-inverse is the adjoint
-    for z in fm.centers:
-        cols = []
-        for r in basis:
-            x = r.reshape(n, n)
-            cols.append((z @ x - x @ z).reshape(-1))
-        ad = (np.array(cols) @ pinv).T
-        ad_mats.append(ad)
-
-    rng = random.Random(seed)
-    clusters = None
-    for attempt in range(8):
-        coeffs = [rng.uniform(0.5, 1.5) * (1 if rng.random() < 0.5 else -1)
-                  for _ in range(max(k, 1))]
-        m = sum(c * a for c, a in zip(coeffs, ad_mats)) if k else np.zeros((dim_g, dim_g))
-        eigvals = np.linalg.eigvals(m)
-        groups_ = _cluster(eigvals, tol)
-        if _unambiguous(groups_, eigvals, tol):
-            clusters = [(mu, cnt) for mu, cnt in groups_]
-            break
-    if clusters is None:
-        raise OracleError("eigenvalue clustering stayed ambiguous after resampling")
+    has_sigma = fm.T is not None or fm.s is not None
+    gram_res = sigma_res = None
+    sigma_ok = True
+    if has_sigma:
+        # the weight vectors as matrices X_a; orthonormal, since basis and V are
+        x = (vecs.T @ basis).reshape(dim_g, n, n)
+        sx = fm.sigma(x)
+        # Trace(sigma(X_a) X_b); optimize routes the contraction through BLAS
+        gram = np.einsum("aij,bji->ab", sx, x, optimize=True)
+        gram_res = max((float(np.abs(gram[a:b, a:b] - gram[a:b, a:b].conj().T).max())
+                        for (a, b), nz in zip(clusters, nonzero) if nz), default=0.0)
+        if gram_res > GRAM_TOL:
+            raise OracleError(f"weight Gram is not Hermitian ({gram_res})")
+        sigma_ok, sigma_res = _check_sigma_equivariance(
+            x.reshape(dim_g, -1), sx.reshape(dim_g, -1), bounds, values, tol)
 
     weights: List[NumericWeight] = []
     zero_dim = 0
-    spaces: List[Tuple[Tuple[complex, ...], np.ndarray]] = []
-    for mu, cnt in clusters:
-        sub = _eigenspace(m, mu, cnt)
-        lam = []
-        for ad in ad_mats:
-            proj = sub.conj().T @ (ad @ sub)
-            lam.append(complex(np.trace(proj) / cnt))
-        value = tuple(lam)
-        if all(abs(v) <= 10 * tol for v in value):
+    for (a, b), value, nz in zip(clusters, values, nonzero):
+        cnt = int(b - a)
+        if not nz:
             zero_dim += cnt
             continue
         sig = None
-        if fm.T is not None or fm.s is not None:
-            mats = [(basis.T @ sub[:, i]).reshape(n, n) for i in range(cnt)]
-            gram = np.zeros((cnt, cnt), dtype=complex)
-            for a in range(cnt):
-                sa = fm.sigma(mats[a])
-                for b in range(cnt):
-                    gram[a, b] = np.trace(sa @ mats[b])
-            herm_res = np.abs(gram - gram.conj().T).max()
-            if herm_res > 1e-8:
-                raise OracleError(f"weight Gram is not Hermitian ({herm_res})")
-            ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+        if has_sigma:
+            g = gram[a:b, a:b]
+            ev = np.linalg.eigvalsh((g + g.conj().T) / 2)
             scale = max(1.0, np.abs(ev).max())
-            pos = int((ev > 1e-8 * scale).sum())
-            neg = int((ev < -1e-8 * scale).sum())
+            pos = int((ev > GRAM_TOL * scale).sum())
+            neg = int((ev < -GRAM_TOL * scale).sum())
             sig = (pos, neg, cnt - pos - neg)
-        weights.append(NumericWeight(value, cnt, sig))
-        spaces.append((value, basis.T @ sub))
-
-    sigma_ok = True
-    if fm.T is not None or fm.s is not None:
-        sigma_ok = _check_sigma_equivariance(fm, n, spaces, tol)
+        weights.append(NumericWeight(tuple(complex(v) for v in value), cnt, sig))
 
     standard = _standard_weights(system, fm, tol)
-    return NumericRootReport(standard, weights, dim_g, zero_dim, sigma_ok)
+    return NumericRootReport(standard, weights, dim_g, zero_dim, sigma_ok,
+                             gap, normality, gram_res, sigma_res)
 
 
-def _cluster(values: np.ndarray, tol: float):
-    order = sorted(values, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    groups_: List[List[complex]] = []
-    for v in order:
-        for g in groups_:
-            if abs(v - g[0]) < tol * 10:
-                g.append(v)
-                break
-        else:
-            groups_.append([v])
-    return [(sum(g) / len(g), len(g)) for g in groups_]
+def _check_sigma_equivariance(y: np.ndarray, sy: np.ndarray, bounds: np.ndarray,
+                              values: np.ndarray, tol: float) -> Tuple[bool, float]:
+    """sigma maps the space of weight lambda onto the space of conj(lambda).
 
-
-def _unambiguous(groups_, eigvals, tol: float) -> bool:
-    mus = [mu for mu, _ in groups_]
-    for i in range(len(mus)):
-        for j in range(i + 1, len(mus)):
-            if abs(mus[i] - mus[j]) < 100 * tol:
-                return False
-    return True
-
-
-def _eigenspace(m: np.ndarray, mu: complex, cnt: int) -> np.ndarray:
-    a = m - mu * np.eye(m.shape[0])
-    _, sv, vh = np.linalg.svd(a)
-    vecs = vh[-cnt:, :].conj().T
-    q, _ = np.linalg.qr(vecs)
-    return q
-
-
-def _check_sigma_equivariance(fm: FloatModel, n: int, spaces, tol: float) -> bool:
-    """sigma maps the space of weight lambda onto the space of conj(lambda)."""
-    for value, mats_flat in spaces:
-        target_value = tuple(np.conj(v) for v in value)
-        target = None
-        for v2, m2 in spaces:
-            if all(abs(a - b) < 100 * tol for a, b in zip(v2, target_value)):
-                target = m2
-                break
-        if target is None:
-            return False
-        q, _ = np.linalg.qr(target)
-        proj = q @ q.conj().T
-        for i in range(mats_flat.shape[1]):
-            x = mats_flat[:, i].reshape(n, n)
-            sx = fm.sigma(x).reshape(-1)
-            res = np.linalg.norm(sx - proj @ sx) / max(1.0, np.linalg.norm(sx))
-            if res > 1e-7:
-                return False
-    return True
+    ``y`` holds the orthonormal weight vectors as rows (flattened matrices)
+    and ``sy`` their images under sigma. Returns whether every image lies in
+    its target space, and the largest relative residual off it."""
+    sizes = np.diff(bounds)
+    cluster_of = np.repeat(np.arange(len(sizes)), sizes)
+    # dist[b, c]: how far the weight of cluster b is from conj(weight of c)
+    dist = np.abs(values[:, None, :] - values.conj()[None, :, :]).max(axis=2, initial=0.0)
+    close = dist < 100 * tol
+    found = close.any(axis=0)
+    target = np.where(found, close.argmax(axis=0), -1)
+    # coefficients of each image on every weight vector, kept on the target space
+    coeffs = y.conj() @ sy.T
+    coeffs *= cluster_of[:, None] == target[cluster_of][None, :]
+    off = sy - coeffs.T @ y
+    norms = np.linalg.norm(sy, axis=1)
+    residual = float((np.linalg.norm(off, axis=1) / np.maximum(1.0, norms)).max())
+    return bool(found.all()) and residual <= SIGMA_TOL, residual
 
 
 def _standard_weights(system: RootSystem, fm: FloatModel, tol: float):
@@ -297,11 +323,11 @@ def _standard_weights(system: RootSystem, fm: FloatModel, tol: float):
                 gram = 1j * gram
         elif fm.s is not None:
             gram = fm.s[np.ix_(g, g)]
-        if gram is not None and np.abs(gram - gram.conj().T).max() < 1e-8:
+        if gram is not None and np.abs(gram - gram.conj().T).max() < GRAM_TOL:
             ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
             scale = max(1.0, float(np.abs(ev).max()) if len(ev) else 1.0)
-            pos = int((ev > 1e-8 * scale).sum())
-            neg = int((ev < -1e-8 * scale).sum())
+            pos = int((ev > GRAM_TOL * scale).sum())
+            neg = int((ev < -GRAM_TOL * scale).sum())
             if pos + neg == len(g):
                 sig = (pos, neg, 0)
         out.append(NumericWeight(value, len(g), sig))

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from liebalance import blocks, groups, linalg
 from liebalance.exact import is_hermitian, signature_of
 from liebalance.groups import Family
 from liebalance.modelbuild import adjoint_space_basis, build_model
-from liebalance.oracle import (OracleError, brute_force_roots, oracle_check,
-                               synthesize_model)
+from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
+                               _ad_matrices, _algebra_basis, brute_force_roots,
+                               oracle_check, synthesize_model)
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import killing_form_matrix, root_system
+from liebalance.scenario import load
 
 
 def test_synthesize_small_examples():
@@ -145,3 +148,163 @@ def test_adjoint_space_basis_is_form_skew_across_fresh_models():
                 rhs = linalg.matmul(model.B, x)
                 assert all((u + v).is_zero() for lrow, rrow in zip(lhs, rhs)
                            for u, v in zip(lrow, rrow)), (spec.describe(), root.label)
+
+
+# --- reference: the loop-built ad and per-cluster SVD decomposition --------
+# The oracle builds ad in Kronecker form and takes every weight space from one
+# eigh; this is the earlier, independent pipeline it must agree with.
+
+def _reference_algebra_basis(fm):
+    """Null space of X -> X^T B + B X (or traceless matrices) by SVD."""
+    n = fm.n
+    if fm.B is None:
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    e = np.zeros((n, n), dtype=complex)
+                    e[i, j] = 1.0
+                    rows.append(e.reshape(-1))
+        for i in range(n - 1):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, i] = 1.0
+            e[i + 1, i + 1] = -1.0
+            rows.append(e.reshape(-1) / np.sqrt(2.0))
+        q, _ = np.linalg.qr(np.array(rows).T)
+        return q.T
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[a, b] = 1.0
+            cols.append((e.T @ fm.B + fm.B @ e).reshape(-1))
+    _, sv, vh = np.linalg.svd(np.array(cols).T)
+    nullity = n * n - int((sv > 1e-10).sum())
+    return vh[n * n - nullity:, :].conj()
+
+
+def _reference_ad(fm, basis):
+    n = fm.n
+    out = []
+    for z in fm.centers:
+        cols = [(z @ r.reshape(n, n) - r.reshape(n, n) @ z).reshape(-1) for r in basis]
+        out.append((np.array(cols) @ basis.conj().T).T)
+    return out
+
+
+def _reference_roots(fm, tol=1e-9, seed=0):
+    """(dim_g, zero_dim, sigma_equivariant, [(value, dim, signature)])."""
+    n = fm.n
+    basis = _reference_algebra_basis(fm)
+    dim_g = basis.shape[0]
+    ads = _reference_ad(fm, basis)
+    rng = random.Random(seed)
+    clusters = None
+    for _ in range(8):
+        coeffs = [rng.uniform(0.5, 1.5) * (1 if rng.random() < 0.5 else -1)
+                  for _ in range(max(len(ads), 1))]
+        m = sum(c * a for c, a in zip(coeffs, ads)) if ads else np.zeros((dim_g, dim_g))
+        eigvals = np.linalg.eigvals(m)
+        groups_ = []
+        for v in sorted(eigvals, key=lambda z: (round(z.real, 12), round(z.imag, 12))):
+            for g in groups_:
+                if abs(v - g[0]) < tol * 10:
+                    g.append(v)
+                    break
+            else:
+                groups_.append([v])
+        mus = [sum(g) / len(g) for g in groups_]
+        if all(abs(a - b) >= 100 * tol for i, a in enumerate(mus) for b in mus[i + 1:]):
+            clusters = [(mu, len(g)) for mu, g in zip(mus, groups_)]
+            break
+    assert clusters is not None
+    has_sigma = fm.T is not None or fm.s is not None
+    weights, spaces, zero_dim = [], [], 0
+    for mu, cnt in clusters:
+        _, _, vh = np.linalg.svd(m - mu * np.eye(dim_g))
+        sub, _ = np.linalg.qr(vh[-cnt:, :].conj().T)
+        value = tuple(complex(np.trace(sub.conj().T @ (ad @ sub)) / cnt) for ad in ads)
+        if all(abs(v) <= 10 * tol for v in value):
+            zero_dim += cnt
+            continue
+        sig = None
+        if has_sigma:
+            mats = [(basis.T @ sub[:, i]).reshape(n, n) for i in range(cnt)]
+            gram = np.array([[np.trace(fm.sigma(xa) @ xb) for xb in mats] for xa in mats])
+            assert np.abs(gram - gram.conj().T).max() <= 1e-8
+            ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+            scale = max(1.0, np.abs(ev).max())
+            pos, neg = int((ev > 1e-8 * scale).sum()), int((ev < -1e-8 * scale).sum())
+            sig = (pos, neg, cnt - pos - neg)
+        weights.append((value, cnt, sig))
+        spaces.append((value, basis.T @ sub))
+    sigma_ok = True
+    for value, mats_flat in spaces if has_sigma else []:
+        target = next((m2 for v2, m2 in spaces
+                       if all(abs(a - np.conj(b)) < 100 * tol for a, b in zip(v2, value))),
+                      None)
+        if target is None:
+            sigma_ok = False
+            break
+        q, _ = np.linalg.qr(target)
+        for i in range(mats_flat.shape[1]):
+            sx = fm.sigma(mats_flat[:, i].reshape(n, n)).reshape(-1)
+            if np.linalg.norm(sx - q @ (q.conj().T @ sx)) / max(1.0, np.linalg.norm(sx)) > 1e-7:
+                sigma_ok = False
+    return dim_g, zero_dim, sigma_ok, weights
+
+
+def test_eigh_pipeline_matches_loop_and_svd_reference():
+    rng = random.Random(2024)
+    for fam in ALL_FAMILIES:
+        for _ in range(5):
+            spec, bl = random_scenario(fam, rng)
+            sys = root_system(spec, bl)
+            fm = synthesize_model(sys, cap=12)
+            seed = rng.randint(0, 10 ** 6)
+            basis = _algebra_basis(fm)
+            n = fm.n
+            # orthonormal rows lying in the algebra
+            assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() < 1e-12
+            for row in basis:
+                x = row.reshape(n, n)
+                res = abs(np.trace(x)) if fm.B is None else np.abs(x.T @ fm.B + fm.B @ x).max()
+                assert res < 1e-12, spec.describe()
+            ads, _ = _ad_matrices(fm, basis)
+            for ad, ref in zip(ads, _reference_ad(fm, basis)):
+                assert np.abs(ad - ref).max() < 1e-12
+            rep = brute_force_roots(sys, fm, seed=seed)
+            dim_g, zero_dim, sigma_ok, ref_weights = _reference_roots(fm, seed=seed)
+            assert (rep.dim_g, rep.zero_dim, rep.sigma_equivariant) == \
+                (dim_g, zero_dim, sigma_ok), spec.describe()
+            assert len(rep.adjoint) == len(ref_weights)
+            for value, dim, sig in ref_weights:
+                w = next(w for w in rep.adjoint
+                         if max(abs(a - b) for a, b in zip(w.value, value)) < 1e-9)
+                assert (w.dim, w.signature) == (dim, sig), spec.describe()
+
+
+def test_non_semisimple_center_is_rejected():
+    sys = root_system(groups.sl_c(2), [blocks.cls(2, 1)])
+    fm = synthesize_model(sys)
+    fm.centers = [np.array([[0, 1], [0, 0]], dtype=complex)]
+    with pytest.raises(OracleError, match="not normal"):
+        brute_force_roots(sys, fm)
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=[p.name for p in SCENARIOS])
+def test_diagnostics_clear_their_tolerances_on_demo_scenarios(path):
+    """Each diagnostic sits at least a factor 1000 inside its tolerance."""
+    sc = load(str(path))
+    sys = root_system(sc.spec, sc.blocks)
+    rep = brute_force_roots(sys, synthesize_model(sys, sc.options.cap),
+                            sc.options.tolerance, sc.options.seed)
+    margin = 1e3
+    assert rep.min_cluster_gap >= margin * 100 * sc.options.tolerance
+    assert rep.max_normality_residual * margin <= EXACT_TOL
+    assert rep.max_gram_residual * margin <= GRAM_TOL
+    assert rep.max_sigma_residual * margin <= SIGMA_TOL
+    assert rep.sigma_equivariant
