@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .exact import Signature
+from . import groups
 from .groups import Family, GroupSpec
 
 
@@ -165,6 +166,27 @@ def form_signature(blocks: Sequence[Block]) -> Tuple[int, int]:
         else:
             raise AssertionError(f"{b.kind} blocks carry no form signature")
     return pos, neg
+
+
+def spec_for(family: Family, blocks: Sequence[Block]) -> GroupSpec:
+    """The group of the family whose standard representation the blocks fill."""
+    try:
+        if family in (Family.SU, Family.SO):
+            return groups.FAMILIES[family].make(*form_signature(blocks))
+        if family == Family.SP:
+            # s = B(tau.,.) on the real model of Sp(p,q) has signature (2q, 2p)
+            pos, neg = form_signature(blocks)
+            if pos % 2 or neg % 2:
+                raise ValueError("odd quaternionic signature")
+            return groups.sp(neg // 2, pos // 2)
+        total = sum(ambient_contribution(b) for b in blocks)
+        if family == Family.SL_H:
+            if total % 2:
+                raise ValueError("odd quaternionic total")
+            return groups.sl_h(total // 2)
+        return groups.FAMILIES[family].make(total)
+    except ValueError as exc:
+        raise ScenarioError(f"no {family.value} group fits the blocks: {exc}") from exc
 
 
 def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:

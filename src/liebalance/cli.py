@@ -16,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 
 from . import report as report_mod
 from . import scenario as scenario_mod
@@ -35,12 +36,10 @@ EXIT_INTERNAL = 4
 def _cmd_check(args) -> int:
     try:
         sc = scenario_mod.load(args.scenario)
-        if args.no_oracle:
-            sc.options.oracle = False
-        if args.oracle:
-            sc.options.oracle = True
-        if args.tolerance is not None:
-            sc.options.tolerance = args.tolerance
+        # a new Options validates the flags as the file's values are validated
+        sc.options = replace(
+            sc.options, oracle=args.oracle or (sc.options.oracle and not args.no_oracle),
+            tolerance=sc.options.tolerance if args.tolerance is None else args.tolerance)
         result = report_mod.run_scenario(sc)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -224,9 +224,6 @@ class Signature:
     def is_definite(self) -> bool:
         return self.null == 0 and (self.pos == 0 or self.neg == 0) and self.dim > 0
 
-    def is_nondegenerate(self) -> bool:
-        return self.null == 0
-
     def flip(self) -> "Signature":
         return Signature(self.neg, self.pos, self.null)
 

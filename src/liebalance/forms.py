@@ -88,10 +88,6 @@ class IsotypicalBlock:
             if self.cls.duality == Duality.SESQUI_PAIRED and bs.pos != bs.neg:
                 raise ValueError("paired blocks sit as isotropic halves: split signature")
 
-    @property
-    def block_dim(self) -> int:
-        return self.cls.dim * self.multiplicity
-
 
 class BlockShape(enum.Enum):
     DUAL = "dual"   # class x (conjugate-)dual, two isotropic halves

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 
 class Family(enum.Enum):
@@ -44,34 +44,10 @@ class GroupSpec:
     q: int = 0
 
     def __post_init__(self):
-        f = self.family
-        if f in (Family.SL_R, Family.SL_C):
-            if self.n < 2:
-                raise ValueError(f"{f.value} needs n >= 2")
-        elif f == Family.SO_C:
-            # n = 2 is abelian; allowed for the numeric oracle, and the
-            # classification layer rejects data whose adjoint weights fail
-            # to span
-            if self.n < 2:
-                raise ValueError("SO_C needs n >= 2")
-        elif f == Family.SL_H:
-            if self.m < 1:
-                raise ValueError("SL_H needs m >= 1")
-        elif f in (Family.SP_C, Family.SP_R):
-            if self.m < 1:
-                raise ValueError(f"{f.value} needs m >= 1")
-        elif f == Family.SO_STAR:
-            if self.m < 2:
-                raise ValueError("SO_STAR needs m >= 2")
-        elif f == Family.SU:
-            if self.p < 0 or self.q < 0 or self.p + self.q < 2:
-                raise ValueError("SU needs p+q >= 2")
-        elif f == Family.SO:
-            if self.p < 0 or self.q < 0 or self.p + self.q < 3:
-                raise ValueError("SO needs p+q >= 3")
-        elif f == Family.SP:
-            if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-                raise ValueError("SP needs p+q >= 1")
+        least = FAMILIES[self.family].min_dim
+        if min(self.n, self.m, self.p, self.q) < 0 or self.ambient_dim < least:
+            raise ValueError(f"{self.family.value} needs nonnegative parameters "
+                             f"and ambient dimension >= {least}")
 
     # -- ambient structure -------------------------------------------------
 
@@ -163,19 +139,6 @@ class GroupSpec:
     def genus_bound(self) -> int:
         return 2 * self.dim_real ** 2
 
-    def rank_hermitian(self) -> Optional[int]:
-        """Real rank of the symmetric space when G is Hermitian, else None."""
-        f = self.family
-        if f == Family.SU:
-            return min(self.p, self.q)
-        if f == Family.SO and 2 in (self.p, self.q):
-            return min(2, self.p, self.q)
-        if f == Family.SP_R:
-            return self.m
-        if f == Family.SO_STAR:
-            return self.m // 2
-        return None
-
     def describe(self) -> str:
         f = self.family
         if f == Family.SL_R:
@@ -245,3 +208,26 @@ def sp_c(two_m: int) -> GroupSpec:
     if two_m % 2:
         raise ValueError("Sp(2m,C) needs an even dimension")
     return GroupSpec(Family.SP_C, m=two_m // 2)
+
+
+class FamilyParams(NamedTuple):
+    make: Callable[..., GroupSpec]   # constructor, called with the keys' values
+    keys: Tuple[str, ...]            # scenario-file fields; "n" is the ambient dimension
+    min_dim: int                     # smallest ambient dimension the family admits
+
+
+# SO(p,q) with p+q = 2 and SO*(2) are abelian, so SO starts at 3 and SO* at
+# 4. SO(2,C) is abelian too but stays allowed for the numeric oracle; the
+# classification layer rejects data whose adjoint weights fail to span.
+FAMILIES: Dict[Family, FamilyParams] = {
+    Family.SL_R: FamilyParams(sl_r, ("n",), 2),
+    Family.SL_C: FamilyParams(sl_c, ("n",), 2),
+    Family.SL_H: FamilyParams(sl_h, ("m",), 2),
+    Family.SU: FamilyParams(su, ("p", "q"), 2),
+    Family.SO: FamilyParams(so, ("p", "q"), 3),
+    Family.SP_R: FamilyParams(sp_r, ("n",), 2),
+    Family.SP: FamilyParams(sp, ("p", "q"), 2),
+    Family.SO_STAR: FamilyParams(so_star, ("n",), 4),
+    Family.SO_C: FamilyParams(so_c, ("n",), 2),
+    Family.SP_C: FamilyParams(sp_c, ("n",), 2),
+}

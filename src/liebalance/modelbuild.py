@@ -12,12 +12,12 @@ signatures) are verified exactly at build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .exact import (GaussianRational, I, ONE, ZERO, is_hermitian, signature_of)
 from .groups import Family, GroupSpec
-from .roots import AdjointRoot, RootSystem
+from .roots import RootSystem
 from . import linalg
 
 GQ = GaussianRational
@@ -34,6 +34,7 @@ class MatrixModel:
     T: Optional[Mat]          # tau(v) = T conj(v)
     eta: Optional[int]
     slices: Dict[str, Tuple[int, int]]   # standard weight label -> (start, size)
+    center: List[Mat] = field(default_factory=list)   # exact basis of the center
 
     def sigma(self, x: Mat) -> Mat:
         """The antilinear involution cutting out the real form."""
@@ -50,10 +51,7 @@ class MatrixModel:
     def has_involution(self) -> bool:
         return self.T is not None or self.s is not None
 
-    def center_basis(self) -> List[Mat]:
-        return build_center_basis(self)
-
-    def sesq_gram(self, labels_to_check=None) -> Dict[str, Mat]:
+    def sesq_gram(self) -> Dict[str, Mat]:
         """Exact Gram of s_l(v, w) = B(tau v, w) (or of s itself for SU) on each
         standard weight space; i*Gram where s_l is skew."""
         grams = {}
@@ -62,8 +60,6 @@ class MatrixModel:
         if self.system.zero is not None:
             roots.append(self.system.zero)
         for r in roots:
-            if labels_to_check is not None and r.label not in labels_to_check:
-                continue
             if r.sig is None:
                 continue
             start, size = self.slices[r.label]
@@ -228,6 +224,7 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
 
     assert pos == n
     model = MatrixModel(spec, system, n, B, s, T, eta, slices)
+    model.center = build_center_basis(model)
     _verify_model(model)
     return model
 
@@ -278,7 +275,7 @@ def _verify_model(model: MatrixModel):
             raise AssertionError(
                 f"weight form on {r.label}: declared {r.sig}, built {got}")
     # the center consists of fixed points that are skew / traceless
-    for z in build_center_basis(model):
+    for z in model.center:
         if model.has_involution:
             if model.sigma(z) != z:
                 raise AssertionError("center element is not fixed by sigma")
@@ -370,58 +367,3 @@ def build_center_basis(model: MatrixModel) -> List[Mat]:
                     z[r][r] = z[r][r] + GQ.of(coeff) * pat[r][r]
         out.append(z)
     return out
-
-
-def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
-    """Exact basis of one adjoint weight space inside the ambient algebra."""
-    n = model.n
-    binv = None if model.B is None else linalg.inverse(model.B)
-    if root.source[0] == "hom":
-        _, a_label, b_label = root.source
-        sa, da = model.slices[a_label]
-        sb, db = model.slices[b_label]
-        out = []
-        for i in range(db):
-            for j in range(da):
-                f = linalg.zeros(n)
-                f[sb + i][sa + j] = ONE
-                out.append(_skew_extend(model, binv, f))
-        return out
-    _, a_label = root.source
-    sa, da = model.slices[a_label]
-    neg_label = _negated_label(a_label)
-    sb, _ = model.slices[neg_label]
-    cands = []
-    for i in range(da):
-        for j in range(da):
-            f = linalg.zeros(n)
-            f[sb + i][sa + j] = ONE
-            cands.append(_skew_extend(model, binv, f))
-    flat = [[x for row in m for x in row] for m in cands]
-    red, pivots = linalg.rref(flat)
-    out = []
-    for r, _pc in enumerate(pivots):
-        m = [[red[r][i * n + j] for j in range(n)] for i in range(n)]
-        out.append(m)
-    if len(out) != root.dim:
-        raise AssertionError("weight space basis has the wrong dimension")
-    return out
-
-
-def _negated_label(label: str) -> str:
-    if label == "0":
-        return "0"
-    body, tag = label.rsplit(":", 1)
-    flip = {"+l": "-l", "-l": "+l", "+u": "-u", "-u": "+u",
-            "+z": "-z", "-z": "+z", "+zc": "-zc", "-zc": "+zc"}
-    return f"{body}:{flip[tag]}"
-
-
-def _skew_extend(model: MatrixModel, binv: Optional[Mat], f: Mat) -> Mat:
-    """X = f - B^{-1} f^T B, the unique form-skew extension; for special linear
-    families (no form, no binv) the block itself is already in the algebra."""
-    if binv is None:
-        return f
-    n = model.n
-    corr = linalg.matmul(linalg.matmul(binv, linalg.transpose(f)), model.B)
-    return [[f[i][j] - corr[i][j] for j in range(n)] for i in range(n)]

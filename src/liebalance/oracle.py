@@ -108,7 +108,7 @@ def synthesize_model(system: RootSystem, cap: int = DEFAULT_CAP) -> FloatModel:
         None if exact.s is None else _to_np(exact.s),
         None if exact.T is None else _to_np(exact.T),
         exact.eta,
-        [_to_np(z) for z in exact.center_basis()],
+        [_to_np(z) for z in exact.center],
     )
     _check_float_model(fm)
     return fm

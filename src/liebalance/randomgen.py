@@ -1,8 +1,8 @@
 """Seeded random block data for the oracle runs and the property tests.
 
 Each generator first draws a block multiset respecting the family's structural
-constraints and then reads off the group parameters, so every draw passes
-validation by construction.
+constraints and then reads off its group with ``blocks.spec_for``, so every
+draw passes validation by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import random
 from typing import List, Tuple
 
 from . import blocks as bk
-from . import groups
 from .blocks import Block
 from .groups import Family, GroupSpec
 
@@ -25,13 +24,14 @@ def random_scenario(family: Family, rng: random.Random,
                     cap: int = 12) -> Tuple[GroupSpec, List[Block]]:
     for _ in range(200):
         try:
-            return _draw(family, rng, cap)
+            bl = _draw(family, rng, cap)
+            return bk.spec_for(family, bl), bl
         except (ValueError, bk.ScenarioError):
             continue
     raise RuntimeError(f"could not draw a valid scenario for {family.value}")
 
 
-def _draw(family: Family, rng: random.Random, cap: int):
+def _draw(family: Family, rng: random.Random, cap: int) -> List[Block]:
     if family == Family.SL_C:
         bl = []
         total = 0
@@ -41,7 +41,7 @@ def _draw(family: Family, rng: random.Random, cap: int):
             d, r = _one_part(rng, cap - total)
             bl.append(bk.cls(d, r))
             total += d * r
-        return groups.sl_c(total), bl
+        return bl
     if family in (Family.SL_R, Family.SL_H):
         quat = family == Family.SL_H
         bl = []
@@ -62,13 +62,7 @@ def _draw(family: Family, rng: random.Random, cap: int):
                         continue
                 bl.append(bk.real_cls(d, r))
                 total += d * r
-        if quat:
-            spec = groups.sl_h(total // 2) if total % 2 == 0 else None
-            if spec is None:
-                raise ValueError("odd quaternionic total")
-        else:
-            spec = groups.sl_r(total)
-        return spec, bl
+        return bl
     if family == Family.SU:
         bl = []
         total = 0
@@ -90,7 +84,7 @@ def _draw(family: Family, rng: random.Random, cap: int):
                     continue
                 bl.append(bk.sesq_self(d, (cplus, cminus), (rplus, rminus)))
                 total += d * (rplus + rminus)
-        return groups.su(*bk.form_signature(bl)), bl
+        return bl
     if family in (Family.SO, Family.SP_R, Family.SP, Family.SO_STAR):
         return _draw_orth(family, rng, cap)
     if family in (Family.SO_C, Family.SP_C):
@@ -110,13 +104,11 @@ def _draw(family: Family, rng: random.Random, cap: int):
             if d0 >= 1:
                 bl.append(bk.zero_block(d0))
                 total += d0
-        if family == Family.SO_C:
-            return groups.so_c(total), bl
-        return groups.sp_c(total), bl
+        return bl
     raise AssertionError(family)
 
 
-def _draw_orth(family: Family, rng: random.Random, cap: int):
+def _draw_orth(family: Family, rng: random.Random, cap: int) -> List[Block]:
     quat = family in (Family.SP, Family.SO_STAR)
     skew_s = family in (Family.SP_R, Family.SO_STAR)
     bl = []
@@ -163,16 +155,7 @@ def _draw_orth(family: Family, rng: random.Random, cap: int):
             if d0 >= 1:
                 bl.append(bk.zero_block(d0, sig))
                 total += d0
-    if family == Family.SO:
-        return groups.so(*bk.form_signature(bl)), bl
-    if family == Family.SP_R:
-        return groups.sp_r(total), bl
-    if family == Family.SO_STAR:
-        return groups.so_star(total), bl
-    q2, p2 = bk.form_signature(bl)
-    if q2 % 2 or p2 % 2:
-        raise ValueError("odd quaternionic signature")
-    return groups.sp(p2 // 2, q2 // 2), bl
+    return bl
 
 
 def _one_part(rng: random.Random, room: int) -> Tuple[int, int]:

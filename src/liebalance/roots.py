@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .blocks import Block, normalize_blocks
-from .exact import Signature, ZERO
+from .exact import Signature
 from .groups import Family, GroupSpec
 from . import linalg
 
@@ -472,28 +472,3 @@ def root_system(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     if total != expect:
         raise AssertionError(f"dimension audit failed: {total} != {expect}")
     return sys
-
-
-def killing_form_matrix(basis, sigma):
-    """Exact Gram matrix of (X, X') -> Trace(sigma(X) X') on a given basis.
-
-    ``basis`` is a list of square matrices over Q(i) spanning one adjoint
-    weight space; ``sigma`` is the antilinear involution of the ambient
-    algebra (a callable on such matrices). The result is Hermitian and its
-    signature matches the closed-form weight-space signature up to nothing:
-    the family sign tables already include the proportionality sign.
-    """
-    mats = [m for m in basis]
-    sig_mats = [sigma(m) for m in mats]
-    n = len(mats[0])
-    gram = []
-    for sa in sig_mats:
-        row = []
-        for mb in mats:
-            tr = ZERO
-            for i in range(n):
-                for l in range(n):
-                    tr = tr + sa[i][l] * mb[l][i]
-            row.append(tr)
-        gram.append(row)
-    return gram

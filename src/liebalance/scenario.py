@@ -23,12 +23,19 @@ from .toledo import Decoration, Status, SurfaceData
 SCHEMA = "liebalance-scenario/1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Options:
     oracle: bool = False
     tolerance: float = 1e-9
     seed: int = 0
     cap: int = 12
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ScenarioError(
+                f"tolerance must be a positive finite number, got {self.tolerance!r}")
+        if self.cap < 1:
+            raise ScenarioError(f"cap must be at least 1, got {self.cap!r}")
 
 
 @dataclass
@@ -62,47 +69,22 @@ def _list(d: Dict, key: str) -> List:
 
 
 def group_to_json(spec: GroupSpec) -> Dict:
-    f = spec.family
-    if f in (Family.SL_R, Family.SL_C, Family.SO_C):
-        return {"family": f.value, "n": spec.n}
-    if f == Family.SL_H:
-        return {"family": f.value, "m": spec.m}
-    if f in (Family.SP_R, Family.SP_C, Family.SO_STAR):
-        return {"family": f.value, "n": 2 * spec.m}
-    return {"family": f.value, "p": spec.p, "q": spec.q}
+    keys = groups.FAMILIES[spec.family].keys
+    return {"family": spec.family.value,
+            **{k: spec.ambient_dim if k == "n" else getattr(spec, k) for k in keys}}
 
 
 def group_from_json(d: Dict) -> GroupSpec:
     if not isinstance(d, dict):
         raise ScenarioError(f"group must be a JSON object, got {d!r}")
     try:
-        fam = Family(d["family"])
+        params = groups.FAMILIES[Family(d["family"])]
     except (KeyError, ValueError) as exc:
         raise ScenarioError(f"unknown family in {d!r}") from exc
     try:
-        if fam == Family.SL_R:
-            return groups.sl_r(int(d["n"]))
-        if fam == Family.SL_C:
-            return groups.sl_c(int(d["n"]))
-        if fam == Family.SO_C:
-            return groups.so_c(int(d["n"]))
-        if fam == Family.SL_H:
-            return groups.sl_h(int(d["m"]))
-        if fam == Family.SP_R:
-            return groups.sp_r(int(d["n"]))
-        if fam == Family.SP_C:
-            return groups.sp_c(int(d["n"]))
-        if fam == Family.SO_STAR:
-            return groups.so_star(int(d["n"]))
-        if fam == Family.SU:
-            return groups.su(int(d["p"]), int(d["q"]))
-        if fam == Family.SO:
-            return groups.so(int(d["p"]), int(d["q"]))
-        if fam == Family.SP:
-            return groups.sp(int(d["p"]), int(d["q"]))
+        return params.make(*(_int(d[k]) for k in params.keys))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad group parameters in {d!r}: {exc}") from exc
-    raise AssertionError
 
 
 def block_to_json(b: Block) -> Dict:
@@ -207,8 +189,8 @@ def _options_from_json(opt) -> Options:
         if not isinstance(oracle, bool):
             raise ValueError(f"oracle must be true or false, got {oracle!r}")
         tolerance = opt.get("tolerance", 1e-9)
-        if isinstance(tolerance, bool) or not math.isfinite(float(tolerance)):
-            raise ValueError(f"tolerance must be a finite number, got {tolerance!r}")
+        if isinstance(tolerance, bool):
+            raise ValueError(f"tolerance must be a number, got {tolerance!r}")
         return Options(oracle, float(tolerance), _int(opt.get("seed", 0)),
                        _int(opt.get("cap", 12)))
     except (TypeError, ValueError, OverflowError) as exc:

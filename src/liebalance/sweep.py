@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import blocks as bk
 from . import groups
-from .blocks import Block, ScenarioError
+from .blocks import Block
 from .classify import InternalConsistencyError, classify
-from .groups import Family, GroupSpec
+from .groups import Family
 from .roots import root_system
 from .toledo import ALL_TAGS, Decoration, Status, SurfaceData
 
@@ -97,14 +97,16 @@ def _variants(family: Family, bound: int):
 
 
 def _configurations(family: Family, bound: int):
-    """Multisets of variants whose total ambient dimension is feasible."""
+    """Multisets of variants whose total ambient dimension lies between the
+    family's smallest dimension and the bound."""
     variants = _variants(family, bound)
+    least = groups.FAMILIES[family].min_dim
     results: List[List] = []
 
     def rec(start: int, chosen: List, total: int, zero_used: bool):
         if total > bound:
             return
-        if chosen and total >= 2:
+        if chosen and total >= least:
             results.append(list(chosen))
         for i in range(start, len(variants)):
             key, cost, factory = variants[i]
@@ -121,31 +123,6 @@ def _configurations(family: Family, bound: int):
     return results
 
 
-def _spec_for(family: Family, blocks_: List[Block]) -> Optional[GroupSpec]:
-    total = sum(bk.ambient_contribution(b) for b in blocks_)
-    try:
-        if family == Family.SL_R:
-            return groups.sl_r(total)
-        if family == Family.SL_H:
-            return groups.sl_h(total // 2) if total % 2 == 0 else None
-        if family == Family.SU:
-            return groups.su(*bk.form_signature(blocks_))
-        if family == Family.SO:
-            return groups.so(*bk.form_signature(blocks_))
-        if family == Family.SP_R:
-            return groups.sp_r(total)
-        if family == Family.SO_STAR:
-            return groups.so_star(total)
-        if family == Family.SP:
-            spos, sneg = bk.form_signature(blocks_)
-            if spos % 2 or sneg % 2:
-                return None
-            return groups.sp(sneg // 2, spos // 2)
-    except ValueError:
-        return None
-    return None
-
-
 def _decoration_targets(system) -> List[str]:
     targets = []
     for r in system.standard:
@@ -159,34 +136,27 @@ def _decoration_targets(system) -> List[str]:
 
 
 MAX_SWEEP_BOUND = 14
+# decoration targets enumerated per configuration; classify enumerates the
+# statuses of any beyond it. SU <= 8 and SO* <= 14 need at most 4.
+MAX_DECORATIONS = 6
 
 
-def run_sweep(family: Family, bound: int, decorate: bool = True,
-              limit_decorations: int = 6) -> SweepResult:
+def run_sweep(family: Family, bound: int) -> SweepResult:
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
     for combo in _configurations(family, bound):
         blocks_ = [factory(f"b{i}") for i, (key, cost, factory) in enumerate(combo)]
-        spec = _spec_for(family, blocks_)
-        if spec is None:
-            continue
-        try:
-            system = root_system(spec, blocks_)
-        except (ScenarioError, ValueError):
-            continue
+        spec = bk.spec_for(family, blocks_)
+        system = root_system(spec, blocks_)
         res.configurations += 1
         surface = SurfaceData(genus=spec.genus_bound())
-        targets = _decoration_targets(system) if decorate else []
-        if len(targets) > limit_decorations:
-            targets = targets[:limit_decorations]
+        targets = _decoration_targets(system)[:MAX_DECORATIONS]
         statuses = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
         for assignment in itertools.product(statuses, repeat=len(targets)):
             decos = [Decoration(t, s) for t, s in zip(targets, assignment)]
             try:
                 verdict, prop = classify(spec, surface, system, decos)
-            except ScenarioError:
-                continue
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue

@@ -36,7 +36,7 @@ from liebalance.groups import Family
 from liebalance.oracle import oracle_check, synthesize_model, brute_force_roots
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import root_system
-from liebalance.sweep import run_sweep
+from liebalance.sweep import _configurations, run_sweep
 from liebalance.appendix import verify_appendix_embeddings
 from liebalance.toledo import (ALL_TAGS, Status, SurfaceData, ToledoData,
                                milnor_wood_bound, toledo_conjugate,
@@ -188,6 +188,22 @@ def test_criterion_4_classification_sweeps(capsys):
         assert sweeps[fam].rigid == []
     _announce(capsys, f"ACCEPTANCE 4 PASS  sweeps reproduce the rigid "
                       f"classification in {dt:.1f}s: " + "; ".join(lines))
+
+
+# (configurations, decorated runs, rigid runs) of each acceptance sweep
+SWEEP_COUNTS = {
+    Family.SU: (349, 587, 68), Family.SO: (547, 791, 0), Family.SP_R: (191, 389, 0),
+    Family.SO_STAR: (748, 1996, 24), Family.SL_R: (136, 136, 0),
+    Family.SL_H: (37, 37, 0), Family.SP: (186, 262, 0),
+}
+
+
+def test_criterion_4_sweeps_classify_every_configuration_they_enumerate():
+    for fam, res in _sweeps().items():
+        if fam == "elapsed":
+            continue
+        assert res.configurations == len(_configurations(fam, res.bound)), fam
+        assert (res.configurations, res.runs, len(res.rigid)) == SWEEP_COUNTS[fam], fam
 
 
 def test_criterion_5_certificate_soundness(capsys):

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liebalance import linalg
 from liebalance.exact import (GaussianRational, I, ONE, Quaternion, Signature,
                               ZERO, congruence, direct_sum, gmat,
                               signature_of)
@@ -90,6 +93,41 @@ def test_signature_congruence_invariance():
             if rank(a) == n:
                 break
         assert signature_of(congruence(a, m)) == base
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+units = gaussians.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def hermitian_and_invertible(draw):
+    """A Hermitian matrix M over Q(i), possibly singular, and an invertible A
+    built as L P U (lower triangular with a nonzero diagonal, a permutation,
+    unit upper triangular), which reaches every invertible matrix."""
+    n = draw(st.integers(1, 4))
+    m = [[ZERO] * n for _ in range(n)]
+    lower = [[ZERO] * n for _ in range(n)]
+    upper = linalg.identity(n)
+    for i in range(n):
+        m[i][i] = GaussianRational(draw(rationals))
+        lower[i][i] = draw(units)
+        for j in range(i + 1, n):
+            m[i][j] = draw(gaussians)
+            m[j][i] = m[i][j].conjugate()
+            lower[j][i] = draw(gaussians)
+            upper[i][j] = draw(gaussians)
+    perm = draw(st.permutations(range(n)))
+    p = [[ONE if perm[i] == j else ZERO for j in range(n)] for i in range(n)]
+    return m, linalg.matmul(linalg.matmul(lower, p), upper)
+
+
+@settings(deadline=None, max_examples=100)
+@given(hermitian_and_invertible())
+def test_signature_invariant_under_random_congruence(case):
+    """Sylvester's law of inertia: A* M A has the signature of M."""
+    m, a = case
+    assert signature_of(congruence(a, m)) == signature_of(m)
 
 
 def test_signature_direct_sum_additivity():

@@ -1,18 +1,19 @@
 import random
 from pathlib import Path
+from typing import List, Optional
 
 import numpy as np
 import pytest
 
 from liebalance import blocks, groups, linalg
-from liebalance.exact import is_hermitian, signature_of
+from liebalance.exact import ONE, ZERO, is_hermitian, signature_of
 from liebalance.groups import Family
-from liebalance.modelbuild import adjoint_space_basis, build_model
+from liebalance.modelbuild import Mat, MatrixModel, build_model
 from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
                                _ad_matrices, _algebra_basis, brute_force_roots,
                                oracle_check, synthesize_model)
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
-from liebalance.roots import killing_form_matrix, root_system
+from liebalance.roots import AdjointRoot, root_system
 from liebalance.scenario import load
 
 
@@ -77,6 +78,90 @@ def test_oracle_agrees_across_families():
         for _ in range(3):
             spec, bl = random_scenario(fam, rng)
             assert oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6)) == []
+
+
+# --- exact weight-space bases and their Killing Grams ----------------------
+# The oracle never needs an exact basis of a weight space; these build one so
+# that the tests can read the weight-space signatures off the exact model.
+
+def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
+    """Exact basis of one adjoint weight space inside the ambient algebra."""
+    n = model.n
+    binv = None if model.B is None else linalg.inverse(model.B)
+    if root.source[0] == "hom":
+        _, a_label, b_label = root.source
+        sa, da = model.slices[a_label]
+        sb, db = model.slices[b_label]
+        out = []
+        for i in range(db):
+            for j in range(da):
+                f = linalg.zeros(n)
+                f[sb + i][sa + j] = ONE
+                out.append(_skew_extend(model, binv, f))
+        return out
+    _, a_label = root.source
+    sa, da = model.slices[a_label]
+    neg_label = _negated_label(a_label)
+    sb, _ = model.slices[neg_label]
+    cands = []
+    for i in range(da):
+        for j in range(da):
+            f = linalg.zeros(n)
+            f[sb + i][sa + j] = ONE
+            cands.append(_skew_extend(model, binv, f))
+    flat = [[x for row in m for x in row] for m in cands]
+    red, pivots = linalg.rref(flat)
+    out = []
+    for r, _pc in enumerate(pivots):
+        m = [[red[r][i * n + j] for j in range(n)] for i in range(n)]
+        out.append(m)
+    if len(out) != root.dim:
+        raise AssertionError("weight space basis has the wrong dimension")
+    return out
+
+
+def _negated_label(label: str) -> str:
+    if label == "0":
+        return "0"
+    body, tag = label.rsplit(":", 1)
+    flip = {"+l": "-l", "-l": "+l", "+u": "-u", "-u": "+u",
+            "+z": "-z", "-z": "+z", "+zc": "-zc", "-zc": "+zc"}
+    return f"{body}:{flip[tag]}"
+
+
+def _skew_extend(model: MatrixModel, binv: Optional[Mat], f: Mat) -> Mat:
+    """X = f - B^{-1} f^T B, the unique form-skew extension; for special linear
+    families (no form, no binv) the block itself is already in the algebra."""
+    if binv is None:
+        return f
+    n = model.n
+    corr = linalg.matmul(linalg.matmul(binv, linalg.transpose(f)), model.B)
+    return [[f[i][j] - corr[i][j] for j in range(n)] for i in range(n)]
+
+
+def killing_form_matrix(basis, sigma):
+    """Exact Gram matrix of (X, X') -> Trace(sigma(X) X') on a given basis.
+
+    ``basis`` is a list of square matrices over Q(i) spanning one adjoint
+    weight space; ``sigma`` is the antilinear involution of the ambient
+    algebra (a callable on such matrices). The result is Hermitian and its
+    signature matches the closed-form weight-space signature up to nothing:
+    the family sign tables already include the proportionality sign.
+    """
+    mats = [m for m in basis]
+    sig_mats = [sigma(m) for m in mats]
+    n = len(mats[0])
+    gram = []
+    for sa in sig_mats:
+        row = []
+        for mb in mats:
+            tr = ZERO
+            for i in range(n):
+                for l in range(n):
+                    tr = tr + sa[i][l] * mb[l][i]
+            row.append(tr)
+        gram.append(row)
+    return gram
 
 
 def test_exact_gram_matches_symbolic_signature():

@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from liebalance import report as report_mod
 from liebalance import scenario as sc_mod
 from liebalance.blocks import ScenarioError
 from liebalance.cli import main
+from liebalance.groups import Family
+from liebalance.randomgen import ALL_FAMILIES, random_scenario
 
 
 def su23_scenario(status="maximal_positive", oracle=False):
@@ -192,16 +195,55 @@ def _replace(doc, path, value):
     (("options", "tolerance"), "x"),
     (("options", "seed"), "x"),
     (("blocks", 0, "dim"), 1.5),
+    (("options", "tolerance"), -1),
+    (("options", "tolerance"), 0),
+    (("options", "cap"), -5),
+    (("group", "p"), 2.5),
+    (("group", "p"), True),
+    (("group",), {"family": "SL_R", "n": 3.5}),
+    (("group",), {"family": "SO", "p": 1, "q": 1}),
+    (("group",), {"family": "SO_STAR", "n": 2}),
+    (("--tolerance",), "-1"),
+    (("--tolerance",), "nan"),
 ])
 def test_cli_check_malformed_scenario_exits_3(tmp_path, capsys, path, value):
+    """Each case puts one bad value into a valid document, or, where the path
+    names a command-line flag, runs the oracle with the flag set to that value."""
     doc = su23_scenario()
-    _replace(doc, path, value)
-    with pytest.raises(ScenarioError):
-        sc_mod.from_json(doc)
+    flags = []
+    if path[0].startswith("--"):
+        flags = ["--oracle", f"{path[0]}={value}"]
+    else:
+        _replace(doc, path, value)
+        with pytest.raises(ScenarioError):
+            sc_mod.from_json(doc)
     file = tmp_path / "sc.json"
     file.write_text(json.dumps(doc))
-    assert main(["check", str(file)]) == 3
+    assert main(["check", str(file), *flags]) == 3
     assert "validation error" in capsys.readouterr().err
+
+
+def test_group_json_round_trips_every_family():
+    rng = random.Random(3)
+    for fam in ALL_FAMILIES:
+        for _ in range(5):
+            spec, _ = random_scenario(fam, rng)
+            assert sc_mod.group_from_json(sc_mod.group_to_json(spec)) == spec
+
+
+def test_spec_for_reads_the_group_the_blocks_fill():
+    assert blocks.spec_for(Family.SP, [blocks.imag_pair(1, 1, (1, 0)),
+                                       blocks.imag_pair(1, 1, (0, 1))]) == groups.sp(1, 1)
+    assert blocks.spec_for(Family.SO_STAR, [blocks.imag_pair(1, 1, (1, 0)),
+                                            blocks.zero_block(2, (1, 1))]) == groups.so_star(4)
+    assert blocks.spec_for(Family.SU, [blocks.sesq_pair(1, 1)]) == groups.su(1, 1)
+    for family, bl in [
+            (Family.SO, [blocks.imag_pair(1, 1, (1, 0))]),        # SO(2,0) is abelian
+            (Family.SO_STAR, [blocks.zero_block(2, (1, 1))]),     # so is SO*(2)
+            (Family.SL_H, [blocks.real_cls(2, 1), blocks.real_cls(1, 1)]),
+            (Family.SP, [blocks.zero_block(2, (1, 1))])]:         # odd s-signature
+        with pytest.raises(ScenarioError):
+            blocks.spec_for(family, bl)
 
 
 def test_cli_check_abelian_so2c_exits_3(tmp_path, capsys):
