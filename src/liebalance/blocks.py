@@ -27,6 +27,11 @@ Block kinds by family:
 
 For skew s (Sp(2m,R) and SO*(2m), where eta*epsilon = -1) a declared signature
 refers to the symmetric sesquilinear form i*s.
+
+``WEIGHTS`` is the one table of each kind's weight spaces: their labels, their
+order in the matrix model, and each weight as a combination of the block's
+real coordinates. The weights, the trace relation and the center's matrices
+are all read from it.
 """
 
 from __future__ import annotations
@@ -132,21 +137,30 @@ _FAMILY_KINDS = {
     Family.SP_C: {"dual_pair", "zero"},
 }
 
-_KIND_ORDER = ["cls", "real_cls", "conj_pair", "sesq_self", "sesq_pair",
-               "imag_pair", "split_pair", "quad_pair", "dual_pair", "zero"]
+# The weight spaces of each block kind, in slice order: a label suffix and the
+# weight as (re, im) coefficients of the block's real coordinates. A free
+# weight has coordinates (x, y), so conj_pair's z = x + iy and zc = x - iy;
+# a real-valued or pure imaginary weight has one coordinate. Each weight space
+# has dimension d*r; the zero block is the single weight 0, of dimension d0.
+WEIGHTS = {
+    "cls": (("z", (1, 0), (0, 1)),),
+    "real_cls": (("t", (1,), (0,)),),
+    "conj_pair": (("z", (1, 0), (0, 1)), ("zc", (1, 0), (0, -1))),
+    "sesq_self": (("il", (0,), (1,)),),
+    "sesq_pair": (("z", (1, 0), (0, 1)), ("mzc", (-1, 0), (0, 1))),
+    "imag_pair": (("+l", (0,), (1,)), ("-l", (0,), (-1,))),
+    "split_pair": (("+u", (1,), (0,)), ("-u", (-1,), (0,))),
+    "quad_pair": (("+z", (1, 0), (0, 1)), ("-z", (-1, 0), (0, -1)),
+                  ("+zc", (1, 0), (0, -1)), ("-zc", (-1, 0), (0, 1))),
+    "dual_pair": (("+z", (1, 0), (0, 1)), ("-z", (-1, 0), (0, -1))),
+}
+
+_KIND_ORDER = [*WEIGHTS, "zero"]
 
 
 def ambient_contribution(b: Block) -> int:
     """Dimension of the standard representation the block covers."""
-    if b.kind in ("cls", "real_cls", "sesq_self"):
-        return b.d_eff
-    if b.kind == "zero":
-        return b.dim
-    if b.kind in ("conj_pair", "sesq_pair", "imag_pair", "split_pair", "dual_pair"):
-        return 2 * b.d_eff
-    if b.kind == "quad_pair":
-        return 4 * b.d_eff
-    raise AssertionError(b.kind)
+    return b.dim if b.kind == "zero" else len(WEIGHTS[b.kind]) * b.d_eff
 
 
 def form_signature(blocks: Sequence[Block]) -> Tuple[int, int]:

@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import replace
 
+from . import groups
 from . import report as report_mod
 from . import scenario as scenario_mod
 from .appendix import verify_appendix_embeddings
@@ -80,16 +81,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    least = max(fp.min_dim for fp in groups.FAMILIES.values())
+    try:
+        opts = scenario_mod.Options(oracle=True, tolerance=args.tolerance, cap=args.cap)
+        if opts.cap < least:
+            raise ScenarioError(f"cap must be at least {least}, so that every family "
+                                f"has a group under it, got {opts.cap}")
+    except ScenarioError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     rng = random.Random(args.seed)
     failures = []
     total = 0
     for fam in ALL_FAMILIES:
         for _ in range(args.instances):
-            spec, blocks = random_scenario(fam, rng, cap=args.cap)
+            spec, blocks = random_scenario(fam, rng, cap=opts.cap)
             total += 1
             try:
                 problems = oracle_check(spec, blocks, seed=rng.randint(0, 10 ** 6),
-                                        tol=args.tolerance, cap=args.cap)
+                                        tol=opts.tolerance, cap=opts.cap)
             except OracleError as exc:
                 problems = [str(exc)]
             if problems:

@@ -1,6 +1,5 @@
-"""Exact linear algebra over Q and Q(i): rank, RREF, null spaces, inverses,
-and the matrix helpers (products, transposes, conjugates) every exact module
-shares.
+"""Exact linear algebra over Q and Q(i): rank, RREF, null spaces, and the
+matrix helpers (products, transposes, conjugates) every exact module shares.
 
 Dense row reduction on small matrices (ambient dimensions stay in the tens),
 with deterministic pivot choice so downstream coordinate conventions are
@@ -116,15 +115,6 @@ def zeros(n):
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def inverse(a):
-    """Inverse of a square matrix; raises ValueError when it is singular."""
-    n = len(a)
-    red, pivots = rref([row + ident for row, ident in zip(gmat(a), identity(n))])
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
 
 
 def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -1,13 +1,16 @@
 """Exact matrix models of the block data: forms, antilinear structure, and the
 center of the centralizer as concrete matrices.
 
-Every block kind corresponds to an explicit slice layout of C^n with the
-invariant form, the antilinear map tau (for real and quaternionic forms) or
-the sesquilinear form (for SU), and the block-scalar matrices spanning the
-center. The construction doubles as a realizability witness for the scenario
-vocabulary; all structural identities (tau^2 = eta, form compatibility, the
-center consisting of fixed skew elements, the declared weight-space
-signatures) are verified exactly at build time.
+C^n is cut into one slice per standard weight space, in the order of the
+root system's weights (block order, then the order of ``blocks.WEIGHTS``).
+The center is read from the weights: element c acts on each weight's slice
+by the scalar re[c] + i im[c]. The invariant form, the antilinear map tau
+(for real and quaternionic forms) and the sesquilinear form (for SU) are
+built per block kind, independently of the weights. The construction doubles
+as a realizability witness for the scenario vocabulary; all structural
+identities (tau^2 = eta, form compatibility, the center consisting of fixed
+skew elements, the declared weight-space signatures) are verified exactly at
+build time, so a weight that disagrees with the block's forms is rejected.
 """
 
 from __future__ import annotations
@@ -56,10 +59,7 @@ class MatrixModel:
         standard weight space; i*Gram where s_l is skew."""
         grams = {}
         skew = self.spec.eta_epsilon == -1
-        roots = list(self.system.standard)
-        if self.system.zero is not None:
-            roots.append(self.system.zero)
-        for r in roots:
+        for r in _weight_spaces(self.system):
             if r.sig is None:
                 continue
             start, size = self.slices[r.label]
@@ -87,16 +87,6 @@ class MatrixModel:
 
 def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
     n = spec.ambient_dim
-    slices: Dict[str, Tuple[int, int]] = {}
-    pos = 0
-
-    def take(label: str, size: int) -> int:
-        nonlocal pos
-        slices[label] = (pos, size)
-        start = pos
-        pos += size
-        return start
-
     fam = spec.family
     eps = spec.epsilon
     eta = spec.eta
@@ -104,12 +94,21 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
     s = linalg.zeros(n) if fam == Family.SU else None
     T = linalg.zeros(n) if eta is not None else None
 
+    # one slice per weight space, in block order and each block's table order
+    slices: Dict[str, Tuple[int, int]] = {}
+    starts: Dict[str, List[int]] = {}
+    pos = 0
+    for r in _weight_spaces(system):
+        slices[r.label] = (pos, r.dim)
+        starts.setdefault(r.block_label, []).append(pos)
+        pos += r.dim
+    assert pos == n
+
     for b in system.blocks:
         d = b.d_eff
-        if b.kind == "cls":
-            take(f"{b.label}:z", d)
-        elif b.kind == "real_cls":
-            st = take(f"{b.label}:t", d)
+        at = starts[b.label]
+        if b.kind == "real_cls":
+            st, = at
             if fam == Family.SL_R:
                 for k in range(d):
                     T[st + k][st + k] = ONE
@@ -119,24 +118,21 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
                     T[st + k][st + h + k] = -ONE
                     T[st + h + k][st + k] = ONE
         elif b.kind == "conj_pair":
-            p = take(f"{b.label}:z", d)
-            q = take(f"{b.label}:zc", d)
+            p, q = at
             for k in range(d):
                 T[q + k][p + k] = ONE
                 T[p + k][q + k] = GQ.of(eta)
         elif b.kind == "sesq_self":
-            st = take(f"{b.label}:il", d)
+            st, = at
             for k in range(d):
                 s[st + k][st + k] = ONE if k < b.sig.pos else -ONE
         elif b.kind == "sesq_pair":
-            p = take(f"{b.label}:z", d)
-            q = take(f"{b.label}:mzc", d)
+            p, q = at
             for k in range(d):
                 s[p + k][q + k] = ONE
                 s[q + k][p + k] = ONE
         elif b.kind == "imag_pair":
-            lpos = take(f"{b.label}:+l", d)
-            lneg = take(f"{b.label}:-l", d)
+            lpos, lneg = at
             for k in range(d):
                 T[lneg + k][lpos + k] = ONE
                 T[lpos + k][lneg + k] = GQ.of(eta)
@@ -146,9 +142,8 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
                 B[lneg + k][lpos + k] = skl
                 B[lpos + k][lneg + k] = GQ.of(eps) * skl
         elif b.kind == "split_pair":
-            lpos = take(f"{b.label}:+u", d)
-            lneg = take(f"{b.label}:-u", d)
-            for st in (lpos, lneg):
+            lpos, lneg = at
+            for st in at:
                 if eta == +1:
                     for k in range(d):
                         T[st + k][st + k] = ONE
@@ -161,10 +156,7 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
                 B[lpos + k][lneg + k] = ONE
                 B[lneg + k][lpos + k] = GQ.of(eps)
         elif b.kind == "quad_pair":
-            p = take(f"{b.label}:+z", d)
-            pm = take(f"{b.label}:-z", d)
-            qq = take(f"{b.label}:+zc", d)
-            qm = take(f"{b.label}:-zc", d)
+            p, pm, qq, qm = at
             for k in range(d):
                 T[qq + k][p + k] = ONE
                 T[p + k][qq + k] = GQ.of(eta)
@@ -175,14 +167,13 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
                     B[u + k][v + k] = ONE
                     B[v + k][u + k] = GQ.of(eps)
         elif b.kind == "dual_pair":
-            p = take(f"{b.label}:+z", d)
-            q = take(f"{b.label}:-z", d)
+            p, q = at
             for k in range(d):
                 B[p + k][q + k] = ONE
                 B[q + k][p + k] = GQ.of(eps)
         elif b.kind == "zero":
             d0 = b.dim
-            st = take("0", d0)
+            st, = at
             if fam == Family.SO:
                 for k in range(d0):
                     T[st + k][st + k] = ONE
@@ -219,10 +210,7 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
                 for k in range(h):
                     B[st + k][st + h + k] = ONE
                     B[st + h + k][st + k] = -ONE
-        else:
-            raise AssertionError(b.kind)
 
-    assert pos == n
     model = MatrixModel(spec, system, n, B, s, T, eta, slices)
     model.center = build_center_basis(model)
     _verify_model(model)
@@ -261,10 +249,7 @@ def _verify_model(model: MatrixModel):
             raise AssertionError("sesquilinear form has the wrong signature")
     # declared weight-space signatures are realized
     grams = model.sesq_gram()
-    roots = list(model.system.standard)
-    if model.system.zero is not None:
-        roots.append(model.system.zero)
-    for r in roots:
+    for r in _weight_spaces(model.system):
         if r.sig is None:
             continue
         g = grams[r.label]
@@ -292,78 +277,20 @@ def _verify_model(model: MatrixModel):
                 raise AssertionError("center element has nonzero trace")
 
 
-def _coordinate_pattern(model: MatrixModel, unit_label: str, which: str) -> Mat:
-    """Matrix by which the raw parameter (unit, which) acts on C^n."""
-    spec = model.spec
-    n = model.n
-    out = linalg.zeros(n)
-
-    def put(label: str, scalar: GQ):
-        st, size = model.slices[label]
-        for k in range(size):
-            out[st + k][st + k] = scalar
-
-    b = next(bl for bl in model.system.blocks if bl.label == unit_label)
-    if b.kind == "real_cls" and which == "t":
-        put(f"{b.label}:t", ONE)
-    elif b.kind == "cls":
-        put(f"{b.label}:z", ONE if which == "x" else I)
-    elif b.kind == "conj_pair":
-        if which == "x":
-            put(f"{b.label}:z", ONE)
-            put(f"{b.label}:zc", ONE)
-        else:
-            put(f"{b.label}:z", I)
-            put(f"{b.label}:zc", -I)
-    elif b.kind == "sesq_self":
-        put(f"{b.label}:il", I)
-    elif b.kind == "sesq_pair":
-        if which == "x":
-            put(f"{b.label}:z", ONE)
-            put(f"{b.label}:mzc", -ONE)
-        else:
-            put(f"{b.label}:z", I)
-            put(f"{b.label}:mzc", I)
-    elif b.kind == "imag_pair":
-        put(f"{b.label}:+l", I)
-        put(f"{b.label}:-l", -I)
-    elif b.kind == "split_pair":
-        put(f"{b.label}:+u", ONE)
-        put(f"{b.label}:-u", -ONE)
-    elif b.kind == "quad_pair":
-        if which == "x":
-            put(f"{b.label}:+z", ONE)
-            put(f"{b.label}:-z", -ONE)
-            put(f"{b.label}:+zc", ONE)
-            put(f"{b.label}:-zc", -ONE)
-        else:
-            put(f"{b.label}:+z", I)
-            put(f"{b.label}:-z", -I)
-            put(f"{b.label}:+zc", -I)
-            put(f"{b.label}:-zc", I)
-    elif b.kind == "dual_pair":
-        scalar = ONE if which == "x" else I
-        put(f"{b.label}:+z", scalar)
-        put(f"{b.label}:-z", -scalar)
-    else:
-        raise AssertionError((b.kind, which))
-    return out
+def _weight_spaces(system: RootSystem):
+    """The standard weights, then the zero weight when there is one."""
+    return system.standard + ([system.zero] if system.zero is not None else [])
 
 
 def build_center_basis(model: MatrixModel) -> List[Mat]:
-    sysr = model.system
-    k = sysr.dim_c
+    """Center element c acts on the slice of each standard weight by the
+    weight's value re[c] + i im[c], and by 0 on the zero weight space."""
     out = []
-    patterns = [_coordinate_pattern(model, lbl, which)
-                for lbl, which in sysr.coord_units]
-    for c in range(k):
+    for c in range(model.system.dim_c):
         z = linalg.zeros(model.n)
-        for i, pat in enumerate(patterns):
-            coeff = sysr.reduce_matrix[i][c]
-            if coeff == 0:
-                continue
-            for r in range(model.n):
-                if not pat[r][r].is_zero():
-                    z[r][r] = z[r][r] + GQ.of(coeff) * pat[r][r]
+        for r in model.system.standard:
+            start, size = model.slices[r.label]
+            for k in range(start, start + size):
+                z[k][k] = GQ(r.re[c], r.im[c])
         out.append(z)
     return out

@@ -15,8 +15,12 @@ decomposition numerically:
   Trace(sigma(X) X'), and the sigma equivariance of the weight spaces.
 
 Agreement with the symbolic report is then a genuine cross-check of the
-closed-form weight and signature rules. Each report also carries how far the
-accepted quantities sit from their tolerances.
+closed-form weight and signature rules. The model's center is read from the
+symbolic standard weights (``blocks.WEIGHTS``), but its forms T, B and s are
+built per block kind, and the adjoint weights, their dimensions and their
+signatures are recovered here numerically; a standard weight that disagrees
+with the forms fails the model's sigma or skewness checks. Each report also
+carries how far the accepted quantities sit from their tolerances.
 
 Floats only live in this module. Every comparison carries an explicit
 tolerance: 1e-9 for eigenvalue clustering, 1e-12 for identities.

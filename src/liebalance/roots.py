@@ -1,12 +1,17 @@
 """Weights of the center of the centralizer on the standard and adjoint
 representations.
 
-Coordinates: the center c is cut out of one real parameter per block weight
-(one for real-valued or pure imaginary weights, a complex pair for free ones)
-by the trace relation where the ambient group is special linear. A basis of
-c* is chosen deterministically by row reduction, every weight is stored as an
-exact pair of rational vectors (real part, imaginary part) in that basis, and
-all later convexity computations happen in these coordinates.
+Coordinates: every block kind's weights are read from ``blocks.WEIGHTS`` as
+combinations of the block's real coordinates (one for real-valued or pure
+imaginary weights, a complex pair for free ones). Where the ambient group is
+special linear, the trace relation cuts the center c out of those
+coordinates. A basis of c* is chosen deterministically by row reduction,
+every weight is stored as an exact pair of rational vectors (real part,
+imaginary part) in that basis, and all later convexity computations happen
+in these coordinates. The same table gives the matrix model its slices and
+its center, but not its forms: ``modelbuild`` builds T, B and s per block
+kind, and the oracle recovers the adjoint weights, their dimensions and
+signatures numerically, so a wrong entry of the table is caught there.
 
 Signatures of the Killing sesquilinear form s(X, X') = Trace(sigma(X) X') on
 pure imaginary adjoint weight spaces come from closed-form product rules; each
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .blocks import Block, normalize_blocks
+from .blocks import WEIGHTS, Block, normalize_blocks
 from .exact import Signature
 from .groups import Family, GroupSpec
 from . import linalg
@@ -111,11 +116,6 @@ class RootSystem:
     zero: Optional[StandardRoot]
     adjoint: List[AdjointRoot]
     dim_g0: int
-    # raw parameter layout behind the chosen basis of c*: one labelled raw
-    # coordinate per block parameter, and the raw x dim_c solution basis of
-    # the trace relations
-    coord_units: List[Tuple[str, str]] = None
-    reduce_matrix: List[List[Fraction]] = None
 
     def standard_by_label(self) -> Dict[str, StandardRoot]:
         d = {r.label: r for r in self.standard}
@@ -138,7 +138,9 @@ class RootSystem:
         group (the abelian SO(2,C) is the exception the oracle still uses)."""
         if self.dim_c == 0:
             return True
-        rows = [list(part) for r in self.adjoint for part in (r.re, r.im)]
+        # the adjoint weights repeat their parts heavily: rank each once
+        parts = dict.fromkeys(part for r in self.adjoint for part in (r.re, r.im))
+        rows = [list(part) for part in parts if any(part)]
         return bool(rows) and linalg.frac_rank(rows) == self.dim_c
 
 
@@ -155,10 +157,13 @@ def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):
     return a, k
 
 
-def _project(raw_vec: List[Fraction], a) -> Vec:
-    k = len(a[0]) if a else 0
-    return tuple(sum((raw_vec[i] * a[i][c] for i in range(len(raw_vec))),
-                     Fraction(0)) for c in range(k))
+def _combine(coefs, coords: Sequence[Vec], k: int) -> Vec:
+    """The combination of the coordinates with these coefficients."""
+    out = _zero_vec(k)
+    for c, v in zip(coefs, coords):
+        if c:
+            out = tuple(o + c * x for o, x in zip(out, v))
+    return out
 
 
 def _product_sig(s1: Signature, s2: Signature, sign: int) -> Signature:
@@ -184,143 +189,61 @@ def wedge_dim(d: int, epsilon: int) -> int:
 def standard_roots(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     """Weights of c on the standard representation, with exact coordinates.
 
-    Returns a RootSystem whose ``adjoint`` part is not filled in yet; use
-    :func:`root_system` for the full decomposition.
+    Each block contributes the weights of its kind in ``blocks.WEIGHTS``, as
+    combinations of the block's real coordinates. Where the group is special
+    linear, c is traceless: the dimension-weighted sum of the weights vanishes
+    on it, and its real and imaginary parts are the relations cutting c out of
+    the coordinates. Returns a RootSystem whose ``adjoint`` part is not filled
+    in yet; use :func:`root_system` for the full decomposition.
     """
     blocks = normalize_blocks(spec, blocks)
-    if spec.is_sl_like:
-        return _sl_standard(spec, blocks)
-    return _orth_standard(spec, blocks)
-
-
-def _sl_standard(spec: GroupSpec, blocks: List[Block]) -> RootSystem:
-    coords: List[Tuple[str, str]] = []   # (block label, which coordinate)
-    for b in blocks:
-        if b.kind in ("real_cls", "sesq_self"):
-            coords.append((b.label, "t"))
-        elif b.kind in ("conj_pair", "sesq_pair", "cls"):
-            coords.append((b.label, "x"))
-            coords.append((b.label, "y"))
-    raw = len(coords)
-    index = {c: i for i, c in enumerate(coords)}
+    weighted = [b for b in blocks if b.kind != "zero"]
+    # the blocks' real coordinates, numbered in block order
+    spans, raw = [], 0
+    for b in weighted:
+        size = len(WEIGHTS[b.kind][0][1])
+        spans.append(range(raw, raw + size))
+        raw += size
 
     relations: List[List[Fraction]] = []
-    if spec.family in (Family.SL_R, Family.SL_H):
-        rel = [Fraction(0)] * raw
-        for b in blocks:
-            if b.kind == "real_cls":
-                rel[index[(b.label, "t")]] = Fraction(b.d_eff)
-            else:
-                rel[index[(b.label, "x")]] = Fraction(2 * b.d_eff)
-        relations.append(rel)
-    elif spec.family == Family.SL_C:
-        for which in ("x", "y"):
-            rel = [Fraction(0)] * raw
-            for b in blocks:
-                rel[index[(b.label, which)]] = Fraction(b.d_eff)
-            relations.append(rel)
-    else:  # SU
-        rel = [Fraction(0)] * raw
-        for b in blocks:
-            if b.kind == "sesq_self":
-                rel[index[(b.label, "t")]] = Fraction(b.d_eff)
-            else:
-                rel[index[(b.label, "y")]] = Fraction(2 * b.d_eff)
-        relations.append(rel)
-
+    if spec.is_sl_like:
+        trace = [[Fraction(0)] * raw, [Fraction(0)] * raw]
+        for b, span in zip(weighted, spans):
+            for _suffix, re, im in WEIGHTS[b.kind]:
+                for j, cr, ci in zip(span, re, im):
+                    trace[0][j] += b.d_eff * cr
+                    trace[1][j] += b.d_eff * ci
+        relations = [row for row in trace if any(row)]
     a, k = _reduce_map(raw, relations)
-
-    def unit_raw(lbl, which):
-        v = [Fraction(0)] * raw
-        v[index[(lbl, which)]] = Fraction(1)
-        return v
+    # row i of the reduce map is raw coordinate i in the basis of c*
+    coords = [tuple(row) for row in a]
 
     roots: List[StandardRoot] = []
-    zero_raw = [Fraction(0)] * raw
-    for b in blocks:
-        if b.kind == "real_cls":
-            roots.append(StandardRoot(f"{b.label}:t", _project(unit_raw(b.label, "t"), a),
-                                      _project(zero_raw, a), b.d_eff, False, None, b.label))
-        elif b.kind == "sesq_self":
-            roots.append(StandardRoot(f"{b.label}:il", _project(zero_raw, a),
-                                      _project(unit_raw(b.label, "t"), a),
-                                      b.d_eff, True, b.sig, b.label))
-        elif b.kind in ("conj_pair", "cls"):
-            x = _project(unit_raw(b.label, "x"), a)
-            y = _project(unit_raw(b.label, "y"), a)
-            roots.append(StandardRoot(f"{b.label}:z", x, y, b.d_eff, False, None, b.label))
-            if b.kind == "conj_pair":
-                roots.append(StandardRoot(f"{b.label}:zc", x, _neg(y), b.d_eff,
-                                          False, None, b.label))
-        elif b.kind == "sesq_pair":
-            x = _project(unit_raw(b.label, "x"), a)
-            y = _project(unit_raw(b.label, "y"), a)
-            roots.append(StandardRoot(f"{b.label}:z", x, y, b.d_eff, False, None, b.label))
-            roots.append(StandardRoot(f"{b.label}:mzc", _neg(x), y, b.d_eff,
-                                      False, None, b.label))
-    # real and imaginary parts of the weights generate c*
-    vecs = [list(r.re) for r in roots] + [list(r.im) for r in roots]
-    if k and linalg.frac_rank(vecs) != k:
-        raise AssertionError("standard weights fail to span the dual of c")
-    return RootSystem(spec, blocks, k, roots, None, [], 0,
-                      coord_units=coords, reduce_matrix=a)
-
-
-def _orth_standard(spec: GroupSpec, blocks: List[Block]) -> RootSystem:
-    flip_minus = (spec.eta_epsilon == -1)
-    coords: List[Tuple[str, str]] = []
-    for b in blocks:
-        if b.kind == "imag_pair":
-            coords.append((b.label, "t"))
-        elif b.kind == "split_pair":
-            coords.append((b.label, "u"))
-        elif b.kind in ("quad_pair", "dual_pair"):
-            coords.append((b.label, "x"))
-            coords.append((b.label, "y"))
-    raw = len(coords)
-    index = {c: i for i, c in enumerate(coords)}
-    a, k = _reduce_map(raw, [])
-
-    def unit(lbl, which):
-        v = [Fraction(0)] * raw
-        v[index[(lbl, which)]] = Fraction(1)
-        return _project(v, a)
-
-    zero_v = _zero_vec(k)
-    roots: List[StandardRoot] = []
-    zero_root: Optional[StandardRoot] = None
-    for b in blocks:
-        if b.kind == "imag_pair":
-            t = unit(b.label, "t")
-            neg_sig = b.sig.flip() if flip_minus else b.sig
-            roots.append(StandardRoot(f"{b.label}:+l", zero_v, t, b.d_eff, True,
-                                      b.sig, b.label, negation=f"{b.label}:-l"))
-            roots.append(StandardRoot(f"{b.label}:-l", zero_v, _neg(t), b.d_eff, True,
-                                      neg_sig, b.label, negation=f"{b.label}:+l"))
-        elif b.kind == "split_pair":
-            u = unit(b.label, "u")
-            roots.append(StandardRoot(f"{b.label}:+u", u, zero_v, b.d_eff, False,
-                                      None, b.label, negation=f"{b.label}:-u"))
-            roots.append(StandardRoot(f"{b.label}:-u", _neg(u), zero_v, b.d_eff, False,
-                                      None, b.label, negation=f"{b.label}:+u"))
-        elif b.kind in ("quad_pair", "dual_pair"):
-            x = unit(b.label, "x")
-            y = unit(b.label, "y")
-            roots.append(StandardRoot(f"{b.label}:+z", x, y, b.d_eff, False, None,
-                                      b.label, negation=f"{b.label}:-z"))
-            roots.append(StandardRoot(f"{b.label}:-z", _neg(x), _neg(y), b.d_eff, False,
-                                      None, b.label, negation=f"{b.label}:+z"))
-            if b.kind == "quad_pair":
-                roots.append(StandardRoot(f"{b.label}:+zc", x, _neg(y), b.d_eff, False,
-                                          None, b.label, negation=f"{b.label}:-zc"))
-                roots.append(StandardRoot(f"{b.label}:-zc", _neg(x), y, b.d_eff, False,
-                                          None, b.label, negation=f"{b.label}:+zc"))
-        elif b.kind == "zero":
-            zero_root = StandardRoot("0", zero_v, zero_v, b.dim, True, b.sig, b.label,
-                                     negation="0")
-    sys = RootSystem(spec, blocks, k, roots, zero_root, [], 0,
-                     coord_units=coords, reduce_matrix=a)
-    return sys
+    for b, span in zip(weighted, spans):
+        table = WEIGHTS[b.kind]
+        own = [coords[j] for j in span]
+        for suffix, re, im in table:
+            negation = next((f"{b.label}:{s}" for s, re2, im2 in table
+                             if re2 == _neg(re) and im2 == _neg(im)), None)
+            pure_im = not any(re)
+            sig = None
+            if pure_im:
+                # the declared signature is that of the weight +t; for skew s
+                # the form i*s changes sign on its negation
+                sig = b.sig.flip() if spec.eta_epsilon == -1 and im[0] < 0 else b.sig
+            roots.append(StandardRoot(f"{b.label}:{suffix}", _combine(re, own, k),
+                                      _combine(im, own, k), b.d_eff, pure_im, sig,
+                                      b.label, negation))
+    # real and imaginary parts of the weights still generate c* after the
+    # trace relation cuts it down
+    if relations and k:
+        vecs = [list(r.re) for r in roots] + [list(r.im) for r in roots]
+        if linalg.frac_rank(vecs) != k:
+            raise AssertionError("standard weights fail to span the dual of c")
+    zero_root = next((StandardRoot("0", _zero_vec(k), _zero_vec(k), b.dim, True, b.sig,
+                                   b.label, negation="0")
+                      for b in blocks if b.kind == "zero"), None)
+    return RootSystem(spec, blocks, k, roots, zero_root, [], 0)
 
 
 def adjoint_roots(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
@@ -371,17 +294,6 @@ def _sl_pair_signature(spec, sys, ra, rb) -> Signature:
     raise AssertionError("complex family has no pure imaginary adjoint weight")
 
 
-def _is_quad_conjugate(sys: RootSystem, ra: StandardRoot, rb: StandardRoot) -> bool:
-    if ra.block_label != rb.block_label:
-        return False
-    block = next(b for b in sys.blocks if b.label == ra.block_label)
-    if block.kind != "quad_pair":
-        return False
-    ta = ra.label.rsplit(":", 1)[1]
-    tb = rb.label.rsplit(":", 1)[1]
-    return {ta, tb} in ({"+z", "+zc"}, {"-z", "-zc"})
-
-
 def _orth_adjoint(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
     eps = spec.epsilon
     fam = spec.family
@@ -418,10 +330,12 @@ def _orth_adjoint(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
                 continue
             re = _sub(rb.re, ra.re)
             im = _sub(rb.im, ra.im)
-            if _is_quad_conjugate(sys, ra, rb):
-                # a weight against its conjugate inside one free quadruple:
-                # the difference is pure imaginary, and the symmetric versus
-                # alternating split gives signature eta * d
+            if spec.eta is not None and ra.block_label == rb.block_label \
+                    and (rb.re, rb.im) == (ra.re, _neg(ra.im)):
+                # tau carries a weight space to that of the conjugate weight,
+                # a distinct weight of the same block only in a free
+                # quadruple: the difference is pure imaginary, and the
+                # symmetric versus alternating split gives signature eta * d
                 d = ra.dim
                 s = spec.eta * d
                 sig = Signature((d * d + s) // 2, (d * d - s) // 2)
@@ -460,14 +374,9 @@ def root_system(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     if spec.is_sl_like:
         sys.dim_g0 = sum(r.dim * r.dim for r in sys.standard) - 1
     else:
+        # gl(I_l) once for each pair of weights +-l, and the forms on I_0
         d0 = sys.zero.dim if sys.zero is not None else 0
-        per_pair = 0
-        for b in sys.blocks:
-            if b.kind in ("imag_pair", "split_pair", "dual_pair"):
-                per_pair += b.d_eff ** 2
-            elif b.kind == "quad_pair":
-                per_pair += 2 * b.d_eff ** 2
-        sys.dim_g0 = wedge_dim(d0, spec.epsilon) + per_pair
+        sys.dim_g0 = wedge_dim(d0, spec.epsilon) + sum(r.dim ** 2 for r in sys.standard) // 2
     total, expect = sys.dim_audit()
     if total != expect:
         raise AssertionError(f"dimension audit failed: {total} != {expect}")

@@ -126,8 +126,9 @@ def _configurations(family: Family, bound: int):
 def _decoration_targets(system) -> List[str]:
     targets = []
     for r in system.standard:
+        # one weight of each pair +-l: the negation's status mirrors it
         if r.pure_imaginary and r.sig is not None and r.sig.is_vanishing() \
-                and not r.label.endswith(":-l"):
+                and r.negation not in targets:
             targets.append(r.label)
     z = system.zero
     if z is not None and z.sig is not None and z.sig.is_vanishing():

@@ -19,7 +19,9 @@ Tolerances and bounds are pinned here and nowhere else:
   8. every forced status in the criterion-4 sweeps carries a known rule tag.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -198,12 +200,28 @@ SWEEP_COUNTS = {
 }
 
 
+# sha256 of each acceptance sweep's rigid list, entries sorted by their JSON
+_NO_RIGID = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+SWEEP_RIGID_DIGESTS = {
+    Family.SU: "5c41424d1ed88fea1f2493f5af9368da6f5c1514aac855023da0c5777c2a2c83",
+    Family.SO_STAR: "74b521530556e6732445cd985831f147a8a8f9d542d092d6487484c25f054400",
+    Family.SO: _NO_RIGID, Family.SP_R: _NO_RIGID, Family.SL_R: _NO_RIGID,
+    Family.SL_H: _NO_RIGID, Family.SP: _NO_RIGID,
+}
+
+
+def _rigid_digest(rigid) -> str:
+    entries = sorted(rigid, key=lambda r: json.dumps(r, sort_keys=True))
+    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+
+
 def test_criterion_4_sweeps_classify_every_configuration_they_enumerate():
     for fam, res in _sweeps().items():
         if fam == "elapsed":
             continue
         assert res.configurations == len(_configurations(fam, res.bound)), fam
         assert (res.configurations, res.runs, len(res.rigid)) == SWEEP_COUNTS[fam], fam
+        assert _rigid_digest(res.rigid) == SWEEP_RIGID_DIGESTS[fam], fam
 
 
 def test_criterion_5_certificate_soundness(capsys):

@@ -1,20 +1,25 @@
+import functools
 import random
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from liebalance import blocks, groups, linalg
-from liebalance.exact import ONE, ZERO, is_hermitian, signature_of
+from liebalance.exact import ONE, ZERO, gmat, is_hermitian, signature_of
 from liebalance.groups import Family
 from liebalance.modelbuild import Mat, MatrixModel, build_model
 from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
                                _ad_matrices, _algebra_basis, brute_force_roots,
-                               oracle_check, synthesize_model)
+                               compare_reports, oracle_check, synthesize_model)
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import AdjointRoot, root_system
-from liebalance.scenario import load
+from liebalance.report import run_scenario
+from liebalance.scenario import Options, Scenario, load
+from liebalance.toledo import SurfaceData
+from test_linalg import square_matrices
 
 
 def test_synthesize_small_examples():
@@ -84,10 +89,32 @@ def test_oracle_agrees_across_families():
 # The oracle never needs an exact basis of a weight space; these build one so
 # that the tests can read the weight-space signatures off the exact model.
 
+def inverse(a):
+    """Inverse of a square matrix; raises ValueError when it is singular."""
+    n = len(a)
+    red, pivots = linalg.rref([row + ident for row, ident in
+                               zip(gmat(a), linalg.identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_inverse_is_a_left_inverse(b):
+    assume(linalg.rank(b) == len(b))
+    assert linalg.matmul(inverse(b), b) == linalg.identity(len(b))
+
+
+def test_inverse_rejects_singular_matrices():
+    with pytest.raises(ValueError):
+        inverse([[1, 2], [2, 4]])
+
+
 def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
     """Exact basis of one adjoint weight space inside the ambient algebra."""
     n = model.n
-    binv = None if model.B is None else linalg.inverse(model.B)
+    binv = None if model.B is None else inverse(model.B)
     if root.source[0] == "hom":
         _, a_label, b_label = root.source
         sa, da = model.slices[a_label]
@@ -101,7 +128,7 @@ def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
         return out
     _, a_label = root.source
     sa, da = model.slices[a_label]
-    neg_label = _negated_label(a_label)
+    neg_label = model.system.standard_by_label()[a_label].negation
     sb, _ = model.slices[neg_label]
     cands = []
     for i in range(da):
@@ -118,15 +145,6 @@ def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
     if len(out) != root.dim:
         raise AssertionError("weight space basis has the wrong dimension")
     return out
-
-
-def _negated_label(label: str) -> str:
-    if label == "0":
-        return "0"
-    body, tag = label.rsplit(":", 1)
-    flip = {"+l": "-l", "-l": "+l", "+u": "-u", "-u": "+u",
-            "+z": "-z", "-z": "+z", "+zc": "-zc", "-zc": "+zc"}
-    return f"{body}:{flip[tag]}"
 
 
 def _skew_extend(model: MatrixModel, binv: Optional[Mat], f: Mat) -> Mat:
@@ -393,3 +411,84 @@ def test_diagnostics_clear_their_tolerances_on_demo_scenarios(path):
     assert rep.max_gram_residual * margin <= GRAM_TOL
     assert rep.max_sigma_residual * margin <= SIGMA_TOL
     assert rep.sigma_equivariant
+
+
+# --- mutations of the weight table ------------------------------------------
+# blocks.WEIGHTS is the one source of the symbolic weights and of the center's
+# matrices, while T, B and s are built per block kind and the oracle recovers
+# the weights numerically. Negating any coefficient of the table must then be
+# caught, except where the flip merely re-parametrises the center: the single
+# weight of a cls, real_cls or sesq_self block takes either sign of its
+# coordinates.
+
+REPARAMETRISING = {("cls", "z", "re", 0), ("cls", "z", "im", 1),
+                   ("real_cls", "t", "re", 0), ("sesq_self", "il", "im", 0)}
+TABLE_FLIPS = [(kind, w, part, j)
+               for kind, table in blocks.WEIGHTS.items()
+               for w, (_suffix, re, im) in enumerate(table)
+               for part, coefs in (("re", re), ("im", im))
+               for j, c in enumerate(coefs) if c]
+
+
+def _flip_id(flip):
+    kind, w, part, j = flip
+    return f"{kind}:{blocks.WEIGHTS[kind][w][0]}.{part}[{j}]"
+
+
+def _flipped_table(kind, w, part, j):
+    table = list(blocks.WEIGHTS[kind])
+    suffix, re, im = table[w]
+    coefs = list(re if part == "re" else im)
+    coefs[j] = -coefs[j]
+    table[w] = (suffix, tuple(coefs), im) if part == "re" else (suffix, re, tuple(coefs))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenarios_with(kind, per_family=3):
+    """Per family that admits the kind, the first seeded draws that use it."""
+    out = []
+    for fam in ALL_FAMILIES:
+        if kind not in blocks._FAMILY_KINDS[fam]:
+            continue
+        draws = (random_scenario(fam, random.Random(s), cap=8) for s in range(200))
+        found = [(spec, bl) for spec, bl in draws if any(b.kind == kind for b in bl)]
+        assert len(found) >= per_family, (kind, fam)
+        out += found[:per_family]
+    return out
+
+
+def _rejected(spec, bl) -> bool:
+    try:
+        system = root_system(spec, bl)
+        report = brute_force_roots(system, synthesize_model(system), seed=3)
+    except (AssertionError, OracleError):
+        return True
+    return bool(compare_reports(system, report))
+
+
+def _verdict(spec, bl):
+    sc = Scenario(spec, SurfaceData(genus=spec.genus_bound()), bl,
+                  options=Options(oracle=True))
+    res = run_scenario(sc)
+    return res.verdict.outcome, res.verdict.descriptor, res.oracle_problems
+
+
+def test_table_flips_cover_every_kind():
+    assert {flip[0] for flip in TABLE_FLIPS} == set(blocks.WEIGHTS)
+    assert {(k, blocks.WEIGHTS[k][w][0], p, j) for k, w, p, j in TABLE_FLIPS} \
+        >= REPARAMETRISING
+
+
+@pytest.mark.parametrize("flip", TABLE_FLIPS, ids=[_flip_id(f) for f in TABLE_FLIPS])
+def test_weight_table_flip_is_caught(monkeypatch, flip):
+    kind, w, part, j = flip
+    cases = _scenarios_with(kind)
+    assert not any(_rejected(spec, bl) for spec, bl in cases)
+    before = [_verdict(spec, bl) for spec, bl in cases]
+    monkeypatch.setitem(blocks.WEIGHTS, kind, _flipped_table(*flip))
+    if (kind, blocks.WEIGHTS[kind][w][0], part, j) in REPARAMETRISING:
+        assert [_verdict(spec, bl) for spec, bl in cases] == before
+    else:
+        for spec, bl in cases:
+            assert _rejected(spec, bl), spec.describe()

@@ -131,6 +131,19 @@ def test_cli_oracle_small(capsys):
     assert "0 disagreements" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--tolerance", "-1"],
+    ["--tolerance", "nan"],
+    ["--tolerance", "0"],
+    ["--cap", "0"],
+    ["--cap", "3"],
+    ["--cap", "-2"],
+])
+def test_cli_oracle_bad_flags_exit_3(capsys, flags):
+    assert main(["oracle", "--instances", "1", *flags]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
 def test_block_json_errors():
     with pytest.raises(ScenarioError):
         sc_mod.block_from_json({"kind": "wat", "dim": 1})
