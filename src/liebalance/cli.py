@@ -84,6 +84,8 @@ def _cmd_oracle(args) -> int:
     least = max(fp.min_dim for fp in groups.FAMILIES.values())
     try:
         opts = scenario_mod.Options(oracle=True, tolerance=args.tolerance, cap=args.cap)
+        if args.instances < 1:
+            raise ScenarioError(f"instances must be at least 1, got {args.instances}")
         if opts.cap < least:
             raise ScenarioError(f"cap must be at least {least}, so that every family "
                                 f"has a group under it, got {opts.cap}")

@@ -195,9 +195,6 @@ class Quaternion:
         return f"({self.a} + j*{self.b})"
 
 
-J = Quaternion(0, 1)
-
-
 @dataclass(frozen=True)
 class Signature:
     """Inertia counts (pos, neg, null) of a Hermitian form.
@@ -311,18 +308,6 @@ def signature_of(m: Matrix) -> Signature:
             for k in range(n):
                 a[k][i] = a[k][i] - fc * a[k][piv]
     return Signature(pos, neg, null)
-
-
-def direct_sum(m1: Matrix, m2: Matrix) -> Matrix:
-    n1, n2 = len(m1), len(m2)
-    out = [[ZERO] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            out[i][j] = m1[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            out[n1 + i][n1 + j] = m2[i][j]
-    return out
 
 
 def congruence(a: Matrix, m: Matrix) -> Matrix:

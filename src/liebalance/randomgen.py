@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 from . import blocks as bk
 from .blocks import Block
-from .groups import Family, GroupSpec
+from .groups import FAMILIES, Family, GroupSpec
 
 
 def _split_sig(total: int, rng: random.Random) -> Tuple[int, int]:
@@ -22,6 +22,10 @@ def _split_sig(total: int, rng: random.Random) -> Tuple[int, int]:
 
 def random_scenario(family: Family, rng: random.Random,
                     cap: int = 12) -> Tuple[GroupSpec, List[Block]]:
+    least = FAMILIES[family].min_dim
+    if cap < least:
+        raise ValueError(f"{family.value} has no group of ambient dimension at most "
+                         f"{cap}: its smallest is {least}")
     for _ in range(200):
         try:
             bl = _draw(family, rng, cap)

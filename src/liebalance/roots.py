@@ -14,9 +14,18 @@ kind, and the oracle recovers the adjoint weights, their dimensions and
 signatures numerically, so a wrong entry of the table is caught there.
 
 Signatures of the Killing sesquilinear form s(X, X') = Trace(sigma(X) X') on
-pure imaginary adjoint weight spaces come from closed-form product rules; each
-family contributes one global proportionality sign, recorded in the constant
-tables below and pinned against the floating-point oracle by the test suite.
+pure imaginary adjoint weight spaces come from closed-form rules whose signs
+are read from the group:
+
+* Hom(I_a, I_-a), the (-epsilon)-symmetric forms on I_a: the signature of
+  the forms' space, with sign -eta*epsilon;
+* Hom(I_a, I_b) where tau carries I_a onto I_b in the same block: the
+  symmetric versus alternating split, signature eta*d;
+* any other Hom(I_a, I_b): s = -Trace(f* f'), the product of the two
+  weights' signatures with the uniform sign -1.
+
+The test suite pins these signs against exact Gram matrices, and the
+floating-point oracle checks them on every instance it draws.
 """
 
 from __future__ import annotations
@@ -28,44 +37,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .blocks import WEIGHTS, Block, normalize_blocks
 from .exact import Signature
-from .groups import Family, GroupSpec
+from .groups import GroupSpec
 from . import linalg
 
 Vec = Tuple[Fraction, ...]
 
-# Global sign of s on Hom(I_l, I_lbar) root spaces of the special linear
-# families: the symmetric/antisymmetric split gives |signature| = d, and the
-# quaternionic twist flips the sign.
-SL_CONJ_PAIR_SIGN = {Family.SL_R: +1, Family.SL_H: -1}
-
-# Global sign multiplying the signature product rule on difference spaces
-# Hom(I_a, I_b): s = const * Trace(f* f') with const of this sign. Calibration
-# against exact Gram matrices puts it at -1 uniformly.
-DIFF_SIGN = {
-    Family.SU: -1,
-    Family.SO: -1,
-    Family.SP: -1,
-    Family.SP_R: -1,
-    Family.SO_STAR: -1,
-}
-
-# Global sign on the +-2l spaces (epsilon-alternating forms on I_l),
-# calibrated against exact Gram matrices of Trace(sigma(X) X') on explicit
-# weight-space bases (pinned by the test suite and the numeric oracle).
-DOUBLE_SIGN = {
-    Family.SO: -1,
-    Family.SP_R: +1,
-    Family.SO_STAR: +1,
-    Family.SP: -1,
-}
-
 
 def _zero_vec(k: int) -> Vec:
     return tuple(Fraction(0) for _ in range(k))
-
-
-def _is_zero(v: Vec) -> bool:
-    return all(x == 0 for x in v)
 
 
 def _neg(v: Vec) -> Vec:
@@ -101,10 +80,6 @@ class AdjointRoot:
     pure_imaginary: bool
     sig: Optional[Signature]
     source: Tuple[str, ...]   # ("hom", a, b): maps I_a -> I_b; ("wedge", a): forms on I_a
-
-    @property
-    def value_key(self) -> Tuple[Vec, Vec]:
-        return (self.re, self.im)
 
 
 @dataclass
@@ -166,11 +141,11 @@ def _combine(coefs, coords: Sequence[Vec], k: int) -> Vec:
     return out
 
 
-def _product_sig(s1: Signature, s2: Signature, sign: int) -> Signature:
-    pos = s1.pos * s2.pos + s1.neg * s2.neg
-    neg = s1.pos * s2.neg + s1.neg * s2.pos
-    out = Signature(pos, neg)
-    return out if sign > 0 else out.flip()
+def _product_sig(s1: Signature, s2: Signature) -> Signature:
+    """s = -Trace(f* f') on Hom(I_a, I_b): the product of the two forms'
+    signatures, flipped."""
+    return Signature(s1.pos * s2.neg + s1.neg * s2.pos,
+                     s1.pos * s2.pos + s1.neg * s2.neg)
 
 
 def _wedge_sig(s: Signature, epsilon: int, sign: int) -> Signature:
@@ -186,15 +161,16 @@ def wedge_dim(d: int, epsilon: int) -> int:
     return d * (d - 1) // 2 if epsilon == +1 else d * (d + 1) // 2
 
 
-def standard_roots(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
+def standard_roots(spec: GroupSpec, blocks: Sequence[Block]
+                   ) -> Tuple[List[Block], int, List[StandardRoot], Optional[StandardRoot]]:
     """Weights of c on the standard representation, with exact coordinates.
 
     Each block contributes the weights of its kind in ``blocks.WEIGHTS``, as
     combinations of the block's real coordinates. Where the group is special
     linear, c is traceless: the dimension-weighted sum of the weights vanishes
     on it, and its real and imaginary parts are the relations cutting c out of
-    the coordinates. Returns a RootSystem whose ``adjoint`` part is not filled
-    in yet; use :func:`root_system` for the full decomposition.
+    the coordinates. Returns the normalized blocks, dim c, the nonzero
+    weights and the zero weight (None without a zero block).
     """
     blocks = normalize_blocks(spec, blocks)
     weighted = [b for b in blocks if b.kind != "zero"]
@@ -243,140 +219,74 @@ def standard_roots(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     zero_root = next((StandardRoot("0", _zero_vec(k), _zero_vec(k), b.dim, True, b.sig,
                                    b.label, negation="0")
                       for b in blocks if b.kind == "zero"), None)
-    return RootSystem(spec, blocks, k, roots, zero_root, [], 0)
+    return blocks, k, roots, zero_root
 
 
-def adjoint_roots(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
-    if spec.is_sl_like:
-        return _sl_adjoint(spec, sys)
-    return _orth_adjoint(spec, sys)
-
-
-def _sl_adjoint(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
+def _adjoint_roots(spec: GroupSpec, spaces: Sequence[StandardRoot],
+                   k: int) -> List[AdjointRoot]:
+    """The weights of c on g: Hom(I_a, I_b) for each ordered pair of distinct
+    weight spaces. Where the form pairs I_a with I_-a, Hom(I_a, I_b) and
+    Hom(I_-b, I_-a) are one space, built from the pair that comes first."""
+    at = {r.label: i for i, r in enumerate(spaces)}
     out: List[AdjointRoot] = []
-    seen_values = set()
-    for ra in sys.standard:
-        for rb in sys.standard:
-            if ra.label == rb.label:
+    # the zero value is g0's: adjoint weights are nonzero and pairwise distinct
+    seen = {(_zero_vec(k), _zero_vec(k))}
+    # a value's negation is the reverse pair's value, which can only be
+    # missing where that pair was skipped for its mirror: check those values
+    paired_values = []
+    for i, ra in enumerate(spaces):
+        for j, rb in enumerate(spaces):
+            paired = ra.negation is not None and rb.negation is not None
+            if i == j or (paired and (at[rb.negation], at[ra.negation]) < (i, j)):
                 continue
-            re = _sub(rb.re, ra.re)
-            im = _sub(rb.im, ra.im)
-            if _is_zero(re) and _is_zero(im):
-                raise AssertionError("distinct weights produced an identical difference")
-            pure_im = _is_zero(re)
-            sig = None
-            if pure_im:
-                sig = _sl_pair_signature(spec, sys, ra, rb)
-            key = (re, im)
-            if key in seen_values:
-                raise AssertionError("weight differences are not pairwise distinct")
-            seen_values.add(key)
-            out.append(AdjointRoot(f"{ra.label}->{rb.label}", re, im,
-                                   ra.dim * rb.dim, pure_im, sig,
-                                   ("hom", ra.label, rb.label)))
-    out.sort(key=lambda r: r.label)
-    return out
-
-
-def _sl_pair_signature(spec, sys, ra, rb) -> Signature:
-    fam = spec.family
-    if fam == Family.SU:
-        if ra.sig is None or rb.sig is None:
-            raise AssertionError("pure imaginary difference needs signed weights")
-        return _product_sig(ra.sig, rb.sig, DIFF_SIGN[fam])
-    if fam in (Family.SL_R, Family.SL_H):
-        # conjugate pair l, lbar: split into symmetric and alternating maps
-        if ra.block_label != rb.block_label or ra.dim != rb.dim:
-            raise AssertionError("pure imaginary difference outside a conjugate pair")
-        d = ra.dim
-        s = SL_CONJ_PAIR_SIGN[fam] * d
-        return Signature((d * d + s) // 2, (d * d - s) // 2)
-    raise AssertionError("complex family has no pure imaginary adjoint weight")
-
-
-def _orth_adjoint(spec: GroupSpec, sys: RootSystem) -> List[AdjointRoot]:
-    eps = spec.epsilon
-    fam = spec.family
-    nonzero = sys.standard
-    by_label = {r.label: r for r in nonzero}
-    values: Dict[Tuple[Vec, Vec], AdjointRoot] = {}
-
-    def add(root: AdjointRoot):
-        prev = values.get(root.value_key)
-        if prev is None:
-            values[root.value_key] = root
-        else:
-            # the same value from the mirrored pair (-b, -a); keep one space
-            if (prev.dim != root.dim or prev.pure_imaginary != root.pure_imaginary
-                    or prev.sig != root.sig):
-                raise AssertionError("inconsistent duplicate weight value")
-
-    for ra in nonzero:
-        for rb in nonzero:
-            if ra.label == rb.label:
-                continue
+            re, im = _sub(rb.re, ra.re), _sub(rb.im, ra.im)
+            pure_im = not any(re)
+            label, source = f"{ra.label}->{rb.label}", ("hom", ra.label, rb.label)
+            dim, sig = ra.dim * rb.dim, None
             if rb.label == ra.negation:
-                # maps I_a -> I_{-a} are (-epsilon)-symmetric forms on I_a
-                d = ra.dim
-                wd = wedge_dim(d, eps)
-                if wd == 0:
+                # maps I_a -> I_-a are (-epsilon)-symmetric forms on I_a
+                dim = wedge_dim(ra.dim, spec.epsilon)
+                if dim == 0:
                     continue
-                re = _sub(rb.re, ra.re)
-                im = _sub(rb.im, ra.im)
-                pure_im = ra.pure_imaginary
-                sig = _wedge_sig(ra.sig, eps, DOUBLE_SIGN[fam]) if pure_im else None
-                add(AdjointRoot(f"wedge({ra.label})", re, im, wd, pure_im, sig,
-                                ("wedge", ra.label)))
-                continue
-            re = _sub(rb.re, ra.re)
-            im = _sub(rb.im, ra.im)
-            if spec.eta is not None and ra.block_label == rb.block_label \
+                label, source = f"wedge({ra.label})", ("wedge", ra.label)
+                if pure_im:
+                    sig = _wedge_sig(ra.sig, spec.epsilon, -spec.eta_epsilon)
+            elif spec.eta is not None and ra.block_label == rb.block_label \
                     and (rb.re, rb.im) == (ra.re, _neg(ra.im)):
-                # tau carries a weight space to that of the conjugate weight,
-                # a distinct weight of the same block only in a free
-                # quadruple: the difference is pure imaginary, and the
+                # tau carries I_a onto I_b, the conjugate weight's space: the
                 # symmetric versus alternating split gives signature eta * d
-                d = ra.dim
-                s = spec.eta * d
-                sig = Signature((d * d + s) // 2, (d * d - s) // 2)
-                add(AdjointRoot(f"{ra.label}->{rb.label}", re, im, d * d,
-                                True, sig, ("hom", ra.label, rb.label)))
-                continue
-            pure_im = ra.pure_imaginary and rb.pure_imaginary
-            sig = None
-            if pure_im:
-                sig = _product_sig(ra.sig, rb.sig, DIFF_SIGN[fam])
-            add(AdjointRoot(f"{ra.label}->{rb.label}", re, im, ra.dim * rb.dim,
-                            pure_im, sig, ("hom", ra.label, rb.label)))
-    if sys.zero is not None:
-        z = sys.zero
-        for ra in nonzero:
-            re, im = _sub(ra.re, z.re), _sub(ra.im, z.im)
-            pure_im = ra.pure_imaginary
-            sig = None
-            if pure_im and spec.family != Family.SO_C and spec.family != Family.SP_C:
-                sig = _product_sig(z.sig, ra.sig, DIFF_SIGN[fam])
-            add(AdjointRoot(f"0->{ra.label}", re, im, z.dim * ra.dim, pure_im, sig,
-                            ("hom", "0", ra.label)))
-    out = sorted(values.values(), key=lambda r: r.label)
-    # sanity: values are distinct and closed under negation
-    keys = {r.value_key for r in out}
-    for r in out:
-        if (_neg(r.re), _neg(r.im)) not in keys:
+                s = spec.eta * ra.dim
+                sig = Signature((dim + s) // 2, (dim - s) // 2)
+            elif pure_im:
+                if ra.sig is None or rb.sig is None:
+                    raise AssertionError("pure imaginary difference needs signed weights")
+                sig = _product_sig(ra.sig, rb.sig)
+            before = len(seen)
+            seen.add((re, im))
+            if len(seen) == before:
+                raise AssertionError("adjoint weights are not nonzero and pairwise distinct")
+            if paired:
+                paired_values.append((re, im))
+            out.append(AdjointRoot(label, re, im, dim, pure_im, sig, source))
+    for re, im in paired_values:
+        if (_neg(re), _neg(im)) not in seen:
             raise AssertionError("adjoint weights are not closed under negation")
+    out.sort(key=lambda r: r.label)
     return out
 
 
 def root_system(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
     """Full decomposition: standard weights, adjoint weights, zero-space dim."""
-    sys = standard_roots(spec, blocks)
-    sys.adjoint = adjoint_roots(spec, sys)
+    blocks, k, standard, zero = standard_roots(spec, blocks)
+    # the zero space comes first, so its spaces keep their "0->l" labels
+    adjoint = _adjoint_roots(spec, standard if zero is None else [zero, *standard], k)
     if spec.is_sl_like:
-        sys.dim_g0 = sum(r.dim * r.dim for r in sys.standard) - 1
+        dim_g0 = sum(r.dim * r.dim for r in standard) - 1
     else:
         # gl(I_l) once for each pair of weights +-l, and the forms on I_0
-        d0 = sys.zero.dim if sys.zero is not None else 0
-        sys.dim_g0 = wedge_dim(d0, spec.epsilon) + sum(r.dim ** 2 for r in sys.standard) // 2
+        d0 = zero.dim if zero is not None else 0
+        dim_g0 = wedge_dim(d0, spec.epsilon) + sum(r.dim ** 2 for r in standard) // 2
+    sys = RootSystem(spec, blocks, k, standard, zero, adjoint, dim_g0)
     total, expect = sys.dim_audit()
     if total != expect:
         raise AssertionError(f"dimension audit failed: {total} != {expect}")

@@ -165,9 +165,6 @@ class Propagation:
     block_status: Dict[str, Status]
     adjoint: List[PropagatedRoot]
 
-    def positives(self) -> List[PropagatedRoot]:
-        return [p for p in self.adjoint if p.status == Status.MAXIMAL_POSITIVE]
-
     def unknown_blocks(self) -> List[str]:
         """Block weights whose unknown status is still referenced by some
         surviving adjoint weight."""

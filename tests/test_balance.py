@@ -131,7 +131,7 @@ def instances():
     return st.integers(1, 4).flatmap(of_dim)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(instances())
 def test_spanning_indices_are_the_first_basis_in_p_then_n_order(case):
     k, ps, ns = case

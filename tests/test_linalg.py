@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from liebalance import linalg
@@ -20,13 +20,11 @@ def square_matrices():
     return st.integers(1, 4).flatmap(lambda n: matrices(st.just(n), st.just(n)))
 
 
-@settings(deadline=None)
 @given(matrices())
 def test_conj_transpose_is_an_involution(a):
     assert linalg.conj_transpose(linalg.conj_transpose(a)) == a
 
 
-@settings(deadline=None)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda s: st.tuples(matrices(st.just(s[0]), st.just(s[1])),
                         matrices(st.just(s[1]), st.just(s[2])))))
@@ -36,7 +34,6 @@ def test_conj_transpose_reverses_products(ab):
         linalg.matmul(linalg.conj_transpose(b), linalg.conj_transpose(a))
 
 
-@settings(deadline=None)
 @given(matrices())
 def test_rank_plus_nullity_is_the_column_count(a):
     null = linalg.nullspace(a)

@@ -5,7 +5,7 @@ from typing import List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 
 from liebalance import blocks, groups, linalg
 from liebalance.exact import ONE, ZERO, gmat, is_hermitian, signature_of
@@ -85,6 +85,19 @@ def test_oracle_agrees_across_families():
             assert oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6)) == []
 
 
+def test_random_scenario_rejects_a_cap_below_the_family_minimum():
+    for fam in ALL_FAMILIES:
+        least = groups.FAMILIES[fam].min_dim
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"{fam.value}.*{least}"):
+            random_scenario(fam, rng, cap=least - 1)
+        assert rng.getstate() == state   # rejected before any draw
+        spec, bl = random_scenario(fam, rng, cap=least)
+        assert spec.family == fam and spec.ambient_dim == least
+        root_system(spec, bl)
+
+
 # --- exact weight-space bases and their Killing Grams ----------------------
 # The oracle never needs an exact basis of a weight space; these build one so
 # that the tests can read the weight-space signatures off the exact model.
@@ -99,7 +112,6 @@ def inverse(a):
     return [row[n:] for row in red]
 
 
-@settings(deadline=None)
 @given(square_matrices())
 def test_inverse_is_a_left_inverse(b):
     assume(linalg.rank(b) == len(b))
@@ -164,7 +176,8 @@ def killing_form_matrix(basis, sigma):
     weight space; ``sigma`` is the antilinear involution of the ambient
     algebra (a callable on such matrices). The result is Hermitian and its
     signature matches the closed-form weight-space signature up to nothing:
-    the family sign tables already include the proportionality sign.
+    the signs ``roots`` reads from eta and epsilon already include the
+    proportionality sign.
     """
     mats = [m for m in basis]
     sig_mats = [sigma(m) for m in mats]

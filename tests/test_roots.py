@@ -1,10 +1,14 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from liebalance import blocks, groups
+from liebalance import blocks, groups, roots
 from liebalance.blocks import ScenarioError
-from liebalance.roots import root_system
+from liebalance.exact import Signature
+from liebalance.groups import Family
+from liebalance.randomgen import random_scenario
+from liebalance.roots import AdjointRoot, root_system, wedge_dim
 
 
 def _relation_sum(sys):
@@ -155,3 +159,154 @@ def test_quad_conjugate_weights_are_imaginary_with_eta_signature():
     sys = root_system(groups.sp(1, 1), [blocks.quad_pair(1, 1)])
     conj_roots = [r for r in sys.adjoint if r.pure_imaginary]
     assert all(r.sig.value == -1 for r in conj_roots)
+
+
+# -- reference: the adjoint weights as two family-specific loops ------------
+#
+# The package builds the adjoint weights in one enumeration over ordered
+# pairs of weight spaces, with every sign read from the group's eta and
+# epsilon. The loops below are the earlier construction, one for the special
+# linear families and one for the orthogonal-like ones, with three
+# per-family sign tables; the new enumeration must reproduce them exactly.
+
+REF_SL_CONJ_PAIR_SIGN = {Family.SL_R: +1, Family.SL_H: -1}
+REF_DIFF_SIGN = {Family.SU: -1, Family.SO: -1, Family.SP: -1, Family.SP_R: -1,
+                 Family.SO_STAR: -1}
+REF_DOUBLE_SIGN = {Family.SO: -1, Family.SP_R: +1, Family.SO_STAR: +1, Family.SP: -1}
+
+
+def _ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _ref_neg(v):
+    return tuple(-x for x in v)
+
+
+def _ref_product_sig(s1, s2, sign):
+    out = Signature(s1.pos * s2.pos + s1.neg * s2.neg, s1.pos * s2.neg + s1.neg * s2.pos)
+    return out if sign > 0 else out.flip()
+
+
+def _ref_wedge_sig(s, epsilon, sign):
+    p, n = s.pos, s.neg
+    if epsilon == +1:
+        out = Signature(p * (p - 1) // 2 + n * (n - 1) // 2, p * n)
+    else:
+        out = Signature(p * (p + 1) // 2 + n * (n + 1) // 2, p * n)
+    return out if sign > 0 else out.flip()
+
+
+def _ref_sl_adjoint(spec, sys):
+    out, seen_values = [], set()
+    for ra in sys.standard:
+        for rb in sys.standard:
+            if ra.label == rb.label:
+                continue
+            re, im = _ref_sub(rb.re, ra.re), _ref_sub(rb.im, ra.im)
+            if not any(re) and not any(im):
+                raise AssertionError("distinct weights produced an identical difference")
+            pure_im = not any(re)
+            sig = _ref_sl_pair_signature(spec, ra, rb) if pure_im else None
+            if (re, im) in seen_values:
+                raise AssertionError("weight differences are not pairwise distinct")
+            seen_values.add((re, im))
+            out.append(AdjointRoot(f"{ra.label}->{rb.label}", re, im, ra.dim * rb.dim,
+                                   pure_im, sig, ("hom", ra.label, rb.label)))
+    out.sort(key=lambda r: r.label)
+    return out
+
+
+def _ref_sl_pair_signature(spec, ra, rb):
+    fam = spec.family
+    if fam == Family.SU:
+        if ra.sig is None or rb.sig is None:
+            raise AssertionError("pure imaginary difference needs signed weights")
+        return _ref_product_sig(ra.sig, rb.sig, REF_DIFF_SIGN[fam])
+    if fam in (Family.SL_R, Family.SL_H):
+        if ra.block_label != rb.block_label or ra.dim != rb.dim:
+            raise AssertionError("pure imaginary difference outside a conjugate pair")
+        d = ra.dim
+        s = REF_SL_CONJ_PAIR_SIGN[fam] * d
+        return Signature((d * d + s) // 2, (d * d - s) // 2)
+    raise AssertionError("complex family has no pure imaginary adjoint weight")
+
+
+def _ref_orth_adjoint(spec, sys):
+    eps, fam = spec.epsilon, spec.family
+    values = {}
+
+    def add(root):
+        prev = values.get((root.re, root.im))
+        if prev is None:
+            values[(root.re, root.im)] = root
+        elif (prev.dim, prev.pure_imaginary, prev.sig) != (root.dim, root.pure_imaginary,
+                                                           root.sig):
+            raise AssertionError("inconsistent duplicate weight value")
+
+    for ra in sys.standard:
+        for rb in sys.standard:
+            if ra.label == rb.label:
+                continue
+            re, im = _ref_sub(rb.re, ra.re), _ref_sub(rb.im, ra.im)
+            if rb.label == ra.negation:
+                wd = wedge_dim(ra.dim, eps)
+                if wd == 0:
+                    continue
+                pure_im = ra.pure_imaginary
+                sig = _ref_wedge_sig(ra.sig, eps, REF_DOUBLE_SIGN[fam]) if pure_im else None
+                add(AdjointRoot(f"wedge({ra.label})", re, im, wd, pure_im, sig,
+                                ("wedge", ra.label)))
+                continue
+            if spec.eta is not None and ra.block_label == rb.block_label \
+                    and (rb.re, rb.im) == (ra.re, _ref_neg(ra.im)):
+                d = ra.dim
+                s = spec.eta * d
+                sig = Signature((d * d + s) // 2, (d * d - s) // 2)
+                add(AdjointRoot(f"{ra.label}->{rb.label}", re, im, d * d, True, sig,
+                                ("hom", ra.label, rb.label)))
+                continue
+            pure_im = ra.pure_imaginary and rb.pure_imaginary
+            sig = _ref_product_sig(ra.sig, rb.sig, REF_DIFF_SIGN[fam]) if pure_im else None
+            add(AdjointRoot(f"{ra.label}->{rb.label}", re, im, ra.dim * rb.dim, pure_im,
+                            sig, ("hom", ra.label, rb.label)))
+    if sys.zero is not None:
+        z = sys.zero
+        for ra in sys.standard:
+            re, im = _ref_sub(ra.re, z.re), _ref_sub(ra.im, z.im)
+            pure_im = ra.pure_imaginary
+            sig = None
+            if pure_im and fam not in (Family.SO_C, Family.SP_C):
+                sig = _ref_product_sig(z.sig, ra.sig, REF_DIFF_SIGN[fam])
+            add(AdjointRoot(f"0->{ra.label}", re, im, z.dim * ra.dim, pure_im, sig,
+                            ("hom", "0", ra.label)))
+    out = sorted(values.values(), key=lambda r: r.label)
+    keys = {(r.re, r.im) for r in out}
+    for r in out:
+        if (_ref_neg(r.re), _ref_neg(r.im)) not in keys:
+            raise AssertionError("adjoint weights are not closed under negation")
+    return out
+
+
+def _fields(r):
+    return (r.label, r.re, r.im, r.dim, r.pure_imaginary, r.sig, r.source)
+
+
+def test_adjoint_enumeration_matches_the_family_loops(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(AdjointRoot(*args))
+        return built[-1]
+
+    monkeypatch.setattr(roots, "AdjointRoot", counted)
+    for family in Family:
+        for s in range(200):
+            spec, bl = random_scenario(family, Random(s), cap=12)
+            built.clear()
+            sys = root_system(spec, bl)
+            ref = (_ref_sl_adjoint if spec.is_sl_like else _ref_orth_adjoint)(spec, sys)
+            assert [_fields(r) for r in sys.adjoint] == [_fields(r) for r in ref], \
+                (family, s)
+            # every space is built once: no constructed weight is thrown away
+            assert len(built) == len(sys.adjoint), (family, s)

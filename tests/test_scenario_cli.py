@@ -138,6 +138,7 @@ def test_cli_oracle_small(capsys):
     ["--cap", "0"],
     ["--cap", "3"],
     ["--cap", "-2"],
+    ["--instances", "-3"],
 ])
 def test_cli_oracle_bad_flags_exit_3(capsys, flags):
     assert main(["oracle", "--instances", "1", *flags]) == 3
@@ -312,7 +313,7 @@ BASE_DOCUMENTS = [
 ]
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.sampled_from(BASE_DOCUMENTS).flatmap(
     lambda doc: st.tuples(st.just(doc), st.lists(
         st.tuples(st.sampled_from(_paths(doc)), json_values), min_size=1, max_size=3))))
