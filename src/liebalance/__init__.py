@@ -27,7 +27,7 @@ from .groups import (Family, GroupSpec, sl_c, sl_h, sl_r, so, so_c, so_star,
                      sp, sp_c, sp_r, su)
 from .roots import AdjointRoot, RootSystem, StandardRoot, root_system
 from .toledo import (Decoration, Status, SurfaceData, milnor_wood_bound,
-                     propagate_constraints, toledo_combine)
+                     propagate_constraints)
 
 __all__ = [
     "BalancednessCertificate", "BalancednessInstance", "is_balanced",
@@ -39,7 +39,7 @@ __all__ = [
     "sp", "sp_c", "sp_r", "su",
     "AdjointRoot", "RootSystem", "StandardRoot", "root_system",
     "Decoration", "Status", "SurfaceData", "milnor_wood_bound",
-    "propagate_constraints", "toledo_combine",
+    "propagate_constraints",
 ]
 
 __version__ = "0.1.0"

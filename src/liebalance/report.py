@@ -11,9 +11,7 @@ from . import scenario as sc_mod
 from .blocks import Block
 from .classify import FlexVerdict, InternalConsistencyError, balance_instance, classify
 from .exact import Signature
-from .forms import (CentralizerFactor, Duality, FactorKind, FormKind, Iota,
-                    IrredClass, IsotypicalBlock, centralizer_factor)
-from .groups import Family, GroupSpec
+from .groups import GroupSpec
 from .oracle import brute_force_roots, compare_reports, synthesize_model
 from .roots import RootSystem, root_system
 from .scenario import Scenario
@@ -34,49 +32,27 @@ def _sig(s: Optional[Signature]):
     return [s.pos, s.neg]
 
 
-def block_factors(spec: GroupSpec, b: Block) -> List[CentralizerFactor]:
-    """Centralizer factors contributed by one block, at the level of the
-    complexified algebra."""
-    iota = Iota.CONJUGATION if spec.family == Family.SU else Iota.IDENTITY
-    kind = FormKind(iota, +1 if spec.epsilon is None else spec.epsilon) \
-        if spec.family == Family.SU or spec.is_orthogonal_like else None
-    if b.kind in ("cls", "real_cls"):
-        return [CentralizerFactor(FactorKind.GL, b.mult)]
-    if b.kind == "conj_pair":
-        return [CentralizerFactor(FactorKind.GL, b.mult),
-                CentralizerFactor(FactorKind.GL, b.mult)]
+# GL(mult, C) factors each block kind contributes to the centralizer, at the
+# level of the complexified algebra. A sesq_self block instead contributes one
+# U(a, b), where (a, b) is the signature of its multiplicity form.
+_GL_FACTORS = {"cls": 1, "real_cls": 1, "imag_pair": 1, "split_pair": 1,
+               "dual_pair": 1, "conj_pair": 2, "sesq_pair": 2, "quad_pair": 2,
+               "zero": 0}
+
+
+def block_factors(b: Block) -> List[str]:
+    """Centralizer factors contributed by one block. Each has a
+    one-dimensional center."""
     if b.kind == "sesq_self":
-        cls = IrredClass("c", b.dim, Duality.SESQUI_SELF_DUAL, signature=b.class_sig)
-        blk = IsotypicalBlock(cls, b.mult, block_signature=b.sig)
-        return [centralizer_factor(kind, blk)]
-    if b.kind == "sesq_pair":
-        cls = IrredClass("c", b.dim, Duality.SESQUI_PAIRED, partner="c*")
-        blk = IsotypicalBlock(cls, b.mult,
-                              block_signature=Signature(b.d_eff, b.d_eff))
-        f = centralizer_factor(kind, blk)
-        return [f, f]
-    if b.kind in ("imag_pair", "split_pair", "dual_pair"):
-        cls = IrredClass("c", b.dim, Duality.PAIRED, partner="c*")
-        blk = IsotypicalBlock(cls, b.mult)
-        return [centralizer_factor(kind, blk)]
-    if b.kind == "quad_pair":
-        cls = IrredClass("c", b.dim, Duality.PAIRED, partner="c*")
-        blk = IsotypicalBlock(cls, b.mult)
-        f = centralizer_factor(kind, blk)
-        return [f, f]
-    if b.kind == "zero":
-        return []
-    raise AssertionError(b.kind)
+        return [f"U({b.mult_sig.pos},{b.mult_sig.neg})"]
+    return [f"GL({b.mult},C)"] * _GL_FACTORS[b.kind]
 
 
 def center_dim_crosscheck(spec: GroupSpec, system: RootSystem) -> Tuple[int, int]:
-    """(sum of complexified per-factor center dimensions adjusted for the
-    trace relation, complexified dimension of the center). Equal by
-    construction; re-derived independently here as a consistency test."""
-    total = 0
-    for b in system.blocks:
-        for f in block_factors(spec, b):
-            total += f.center_dim
+    """(number of centralizer factors less one for the trace relation,
+    complexified dimension of the center). Equal by construction; the factor
+    count does not read the weight table, so it is an independent check."""
+    total = sum(len(block_factors(b)) for b in system.blocks)
     if spec.is_sl_like:
         total -= 1
     dim_c_complexified = system.dim_c // 2 if spec.is_complex else system.dim_c
@@ -119,9 +95,8 @@ def to_json(res: RunResult) -> Dict:
     system = res.system
     factor_list = []
     for b in system.blocks:
-        for f in block_factors(sc.spec, b):
-            factor_list.append({"block": b.label, "factor": f.describe(),
-                                "center_dim": f.center_dim})
+        for f in block_factors(b):
+            factor_list.append({"block": b.label, "factor": f, "center_dim": 1})
     std = []
     roots = list(system.standard) + ([system.zero] if system.zero else [])
     for r in roots:

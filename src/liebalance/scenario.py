@@ -146,9 +146,16 @@ def decoration_to_json(deco: Decoration) -> Dict:
 
 def decoration_from_json(d: Dict) -> Decoration:
     try:
+        target = d["target"]
+        if not isinstance(target, str):
+            raise ValueError(f"target must be a string, got {target!r}")
         status = Status(d["status"])
-        value = Fraction(d["toledo_quanta"]) if "toledo_quanta" in d else None
-        return Decoration(str(d["target"]), status, value)
+        value = None
+        if "toledo_quanta" in d:
+            if isinstance(d["toledo_quanta"], bool):
+                raise ValueError(f"toledo_quanta must be a number, got {d['toledo_quanta']!r}")
+            value = Fraction(d["toledo_quanta"])
+        return Decoration(target, status, value)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise ScenarioError(f"bad decoration {d!r}: {exc}") from exc
 

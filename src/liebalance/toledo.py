@@ -129,19 +129,6 @@ def toledo_hom_with_unitary(dim_v: int, t: ToledoData) -> ToledoData:
                       None if t.rank is None else dim_v * t.rank)
 
 
-def toledo_combine(op, inputs: Sequence[ToledoData]) -> ToledoData:
-    """Dispatch: op is "conjugate", "direct_sum" or ("hom_with_unitary", dimV)."""
-    if op == "conjugate":
-        (t,) = inputs
-        return toledo_conjugate(t)
-    if op == "direct_sum":
-        return toledo_direct_sum(inputs)
-    if isinstance(op, tuple) and op[0] == "hom_with_unitary":
-        (t,) = inputs
-        return toledo_hom_with_unitary(op[1], t)
-    raise ValueError(f"unknown combination {op!r}")
-
-
 @dataclass(frozen=True)
 class Decoration:
     """User-declared status: target is a standard weight label (block weight,
@@ -209,13 +196,6 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
         else:
             raise ScenarioError(f"decoration target {deco.target!r} is not a weight label")
 
-    # negative weights mirror their positives
-    for label, r in std.items():
-        if r.negation and r.negation != label and r.negation in block_status:
-            if block_status[label] != Status.UNKNOWN and \
-                    block_status[r.negation] == Status.UNKNOWN:
-                block_status[r.negation] = _mirror(spec, block_status[label])
-
     if surface is not None:
         for label, v in declared_value.items():
             r = std[label]
@@ -232,7 +212,8 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
 
     # 3. adjoint-level decorations are sugar for the block they reference
     for deco in adjoint_decos:
-        _apply_adjoint_decoration(block_status, resolved, adj[deco.target], deco)
+        _apply_adjoint_decoration(spec, std, block_status, resolved, adj[deco.target],
+                                  deco, explicit)
     if adjoint_decos:
         resolved = [_resolve(spec, system, std, block_status, p.root) for p in resolved]
 
@@ -253,6 +234,23 @@ def _mirror(spec: GroupSpec, status: Status) -> Status:
     return status.flip()
 
 
+def _set_status(spec, std, block_status, explicit, label, status, target):
+    """Set a standard weight's status and its negation's mirror, as the
+    decoration on ``target`` asks. Either one already set by another
+    decoration to something else is a conflict."""
+    r = std[label]
+    settings = [(label, status)]
+    if r.negation and r.negation != label:
+        settings.append((r.negation, _mirror(spec, status)))
+    for lbl, st in settings:
+        if lbl in explicit and block_status[lbl] != st:
+            raise ScenarioError(
+                f"decoration on {target} conflicts with another decoration on {lbl}")
+    for lbl, st in settings:
+        block_status[lbl] = st
+        explicit.add(lbl)
+
+
 def _apply_standard_decoration(spec, std, block_status, declared_value, deco, explicit):
     r = std[deco.target]
     if deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
@@ -263,20 +261,12 @@ def _apply_standard_decoration(spec, std, block_status, declared_value, deco, ex
             raise ScenarioError(
                 f"maximal status on {deco.target} needs vanishing signature "
                 f"({TAG_VANISHING}); it has {r.sig}")
-    if deco.target in explicit and block_status[deco.target] != deco.status:
-        raise ScenarioError(f"conflicting decorations on {deco.target}")
-    block_status[deco.target] = deco.status
-    explicit.add(deco.target)
+    _set_status(spec, std, block_status, explicit, deco.target, deco.status, deco.target)
     if deco.value is not None:
         declared_value[deco.target] = deco.value
-    if r.negation and r.negation != r.label:
-        mirrored = _mirror(spec, deco.status)
-        if r.negation in explicit and block_status[r.negation] != mirrored:
-            raise ScenarioError(f"conflicting decorations on {deco.target} / {r.negation}")
-        block_status[r.negation] = mirrored
 
 
-def _apply_adjoint_decoration(block_status, resolved, root, deco):
+def _apply_adjoint_decoration(spec, std, block_status, resolved, root, deco, explicit):
     prop = next(p for p in resolved if p.root.label == root.label)
     if prop.forced_tag is not None:
         if deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
@@ -286,11 +276,7 @@ def _apply_adjoint_decoration(block_status, resolved, root, deco):
     if prop.derived_from is None:
         raise ScenarioError(f"adjoint weight {root.label} accepts no decoration")
     want = deco.status.flip() if prop.flipped else deco.status
-    have = block_status[prop.derived_from]
-    if have != Status.UNKNOWN and have != want:
-        raise ScenarioError(
-            f"decoration on {root.label} contradicts the status of {prop.derived_from}")
-    block_status[prop.derived_from] = want
+    _set_status(spec, std, block_status, explicit, prop.derived_from, want, root.label)
 
 
 def _resolve(spec, system, std, block_status, root: AdjointRoot) -> PropagatedRoot:

@@ -13,6 +13,7 @@ from liebalance.blocks import ScenarioError
 from liebalance.cli import main
 from liebalance.groups import Family
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.roots import root_system
 
 
 def su23_scenario(status="maximal_positive", oracle=False):
@@ -71,19 +72,25 @@ def test_center_dim_crosscheck_runs():
     cases = [
         (groups.su(2, 3), [blocks.sesq_self(1, (0, 1), (1, 0), label="D"),
                            blocks.sesq_self(2, (1, 1), (2, 0), label="E")]),
+        # vanishing class signature: the factor is U(1,1), from the
+        # multiplicity form, not U(0,2)
+        (groups.su(2, 2), [blocks.sesq_self(2, (1, 1), (1, 1))]),
         (groups.so(4, 2), [blocks.imag_pair(1, 1, (1, 0)),
                            blocks.zero_block(4, (2, 2))]),
         (groups.sl_c(6), [blocks.cls(1), blocks.cls(2), blocks.cls(3)]),
-        (groups.so_c(8), [blocks.dual_pair(2, 1), blocks.quad_pair(1, 1) if False
-                          else blocks.dual_pair(1, 2)]),
+        (groups.so_c(8), [blocks.dual_pair(2, 1), blocks.dual_pair(1, 2)]),
         (groups.sl_r(5), [blocks.conj_pair(1, 2), blocks.real_cls(1, 1)]),
     ]
-    from liebalance.report import center_dim_crosscheck
-    from liebalance.roots import root_system
+    cases += [random_scenario(family, random.Random(s), cap=12)
+              for family in ALL_FAMILIES for s in range(20)]
     for spec, bl in cases:
         system = root_system(spec, bl)
-        total, dim_c = center_dim_crosscheck(spec, system)
+        total, dim_c = report_mod.center_dim_crosscheck(spec, system)
         assert total == dim_c, spec.describe()
+        for b in system.blocks:
+            if b.kind == "sesq_self":
+                assert report_mod.block_factors(b) == \
+                    [f"U({b.mult_sig.pos},{b.mult_sig.neg})"]
 
 
 def test_cli_check_exit_codes(tmp_path, capsys):
@@ -219,6 +226,8 @@ def _replace(doc, path, value):
     (("group",), {"family": "SO_STAR", "n": 2}),
     (("--tolerance",), "-1"),
     (("--tolerance",), "nan"),
+    (("decorations", 0, "target"), 0),
+    (("decorations", 0, "toledo_quanta"), True),
 ])
 def test_cli_check_malformed_scenario_exits_3(tmp_path, capsys, path, value):
     """Each case puts one bad value into a valid document, or, where the path

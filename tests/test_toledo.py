@@ -1,14 +1,16 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from liebalance import blocks, groups
 from liebalance.blocks import ScenarioError
+from liebalance.cli import main
 from liebalance.roots import root_system
 from liebalance.toledo import (ALL_TAGS, Decoration, Status, SurfaceData,
                                TAG_DOUBLE, TAG_SPLIT_ORTH, TAG_VANISHING,
                                ToledoData, milnor_wood_bound, propagate_constraints,
-                               toledo_combine, toledo_conjugate, toledo_direct_sum,
+                               toledo_conjugate, toledo_direct_sum,
                                toledo_hom_with_unitary)
 
 
@@ -22,7 +24,7 @@ def test_milnor_wood_values():
 
 def test_combine_conjugate():
     t = ToledoData(Status.MAXIMAL_POSITIVE, Fraction(4), rank=2)
-    c = toledo_combine("conjugate", [t])
+    c = toledo_conjugate(t)
     assert c.status == Status.MAXIMAL_NEGATIVE and c.value == -4 and c.rank == 2
 
 
@@ -48,7 +50,7 @@ def test_combine_unknown_never_fabricates():
 
 def test_combine_hom_with_unitary():
     t = ToledoData(Status.MAXIMAL_POSITIVE, Fraction(2), rank=1)
-    h = toledo_combine(("hom_with_unitary", 3), [t])
+    h = toledo_hom_with_unitary(3, t)
     assert h.status == Status.MAXIMAL_POSITIVE and h.value == 6 and h.rank == 3
 
 
@@ -202,3 +204,46 @@ def test_contradicting_forced_status_reports_rule():
         propagate_constraints(spec, sys,
                               [Decoration(wedge_label, Status.MAXIMAL_POSITIVE)])
     assert TAG_DOUBLE in str(exc.value)
+
+
+ADJOINT_DECORATION_DATA = [
+    ({"family": "SO_STAR", "n": 6},
+     [{"kind": "imag_pair", "dim": 1, "mult": 1, "sig": [1, 0], "label": "b0"},
+      {"kind": "imag_pair", "dim": 1, "mult": 2, "sig": [1, 1], "label": "b1"}]),
+    ({"family": "SO_STAR", "n": 10},
+     [{"kind": "imag_pair", "dim": 1, "mult": 1, "sig": [1, 0], "label": "b0"},
+      {"kind": "imag_pair", "dim": 2, "mult": 1, "sig": [1, 1], "label": "b1"},
+      {"kind": "zero", "dim": 4, "sig": [2, 2], "label": "z"}]),
+]
+
+
+@pytest.mark.parametrize("group,block_docs", ADJOINT_DECORATION_DATA,
+                         ids=["so_star6", "so_star10"])
+def test_adjoint_decoration_agrees_with_its_standard_weight(tmp_path, capsys,
+                                                            group, block_docs):
+    """Decorating an undecided adjoint weight is the same as decorating the
+    standard weight it derives from (flipped where the derivation flips),
+    on either weight of a +-l pair."""
+    def check(decorations):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({
+            "schema": "liebalance-scenario/1", "group": group,
+            "surface": {"genus": 2}, "blocks": block_docs,
+            "decorations": decorations}))
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 2), captured.err
+        rep = json.loads(captured.out)
+        del rep["scenario"]
+        return code, rep
+
+    _, undecorated = check([])
+    undecided = [w for w in undecorated["adjoint_weights"]
+                 if w["status"] == "unknown" and "derived_from" in w]
+    assert {"b1:+l", "b1:-l"} <= {w["derived_from"] for w in undecided}
+    for w in undecided:
+        for status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE,
+                       Status.NON_MAXIMAL):
+            on_standard = status.flip() if w["derived_flipped"] else status
+            assert check([{"target": w["label"], "status": status.value}]) == \
+                check([{"target": w["derived_from"], "status": on_standard.value}])
