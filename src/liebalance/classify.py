@@ -23,7 +23,7 @@ from .blocks import ScenarioError
 from .groups import Family, GroupSpec
 from .roots import RootSystem
 from .toledo import (Decoration, Propagation, Status, SurfaceData,
-                     propagate_constraints)
+                     propagate_constraints, toledo_direct_sum)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -104,46 +104,35 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
         return FlexVerdict("flexible", reason, genus_bound_ok=genus_ok,
                            certificate=cert), prop
 
-    unknowns = prop.unknown_blocks()
-    if not unknowns:
-        return _decide(spec, surface, system, prop, genus_ok, decorations), prop
-
-    # one label per +-pair: a decoration on one weight sets its negation
     std = system.standard_by_label()
-    unknowns = [label for i, label in enumerate(unknowns)
-                if std[label].negation not in unknowns[:i]]
-
+    unknowns = prop.unknown_blocks(std)
+    if not unknowns:
+        return _decide(spec, system, prop, genus_ok), prop
     if len(unknowns) > MAX_UNKNOWN_ENUMERATION:
         return FlexVerdict("indeterminate", "too_many_unknowns",
                            genus_bound_ok=genus_ok, unknown=unknowns), prop
 
-    outcomes = []
-    for combo in itertools.product(
-            (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE),
-            repeat=len(unknowns)):
-        extra = []
-        legal = True
-        for label, status in zip(unknowns, combo):
-            r = std[label]
-            if status != Status.NON_MAXIMAL and not r.sig.is_vanishing():
-                legal = False
-                break
-            extra.append(Decoration(label, status))
-        if not legal:
-            continue
-        sub_prop = propagate_constraints(spec, system, list(decorations) + extra, surface)
-        outcomes.append(_decide(spec, surface, system, sub_prop, genus_ok,
-                                list(decorations) + extra))
+    outcomes = [_decide(spec, system, prop.substituted(spec, std, assignment), genus_ok)
+                for assignment in _assignments(std, unknowns)]
     if all(o.outcome == "flexible" for o in outcomes):
-        base = next(o for o in outcomes if o.outcome == "flexible")
         return FlexVerdict("flexible", "balanced_under_all_assignments",
-                           genus_bound_ok=genus_ok, certificate=base.certificate), prop
+                           genus_bound_ok=genus_ok,
+                           certificate=outcomes[0].certificate), prop
     return FlexVerdict("indeterminate", "undetermined_maximality",
                        genus_bound_ok=genus_ok, unknown=unknowns), prop
 
 
-def _decide(spec, surface, system, prop: Propagation, genus_ok,
-            decorations) -> FlexVerdict:
+def _assignments(std, unknowns: Sequence[str]):
+    """Every legal list of (label, status) over the unknown weights: maximal
+    only where the signature vanishes, all non-maximal first."""
+    choices = [(Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+               if std[label].sig.is_vanishing() else (Status.NON_MAXIMAL,)
+               for label in unknowns]
+    for combo in itertools.product(*choices):
+        yield list(zip(unknowns, combo))
+
+
+def _decide(spec, system, prop: Propagation, genus_ok) -> FlexVerdict:
     inst = balance_instance(system, prop)
     cert = is_balanced(inst)
     if cert.balanced:
@@ -152,6 +141,12 @@ def _decide(spec, surface, system, prop: Propagation, genus_ok,
     descriptor = _match_rigid_shape(spec, system, prop)
     return FlexVerdict("rigid_maximal", "unbalanced", descriptor=descriptor,
                        genus_bound_ok=genus_ok, certificate=cert)
+
+
+def _maximal_sum(prop: Propagation, labels: Sequence[str]) -> bool:
+    """Whether these weights' actions sum to a maximal one (Toledo additivity)."""
+    total = toledo_direct_sum([prop.block_status[label] for label in labels]).status
+    return total in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
 
 
 def _match_rigid_shape(spec: GroupSpec, system: RootSystem,
@@ -183,11 +178,9 @@ def _match_su_shape(spec, system, prop) -> str:
     signs = {b.sig.pos > 0 for b in definite}
     if len(signs) != 1:
         raise InternalConsistencyError("unbalanced SU datum with mixed definite signs")
-    for b in vanishing:
-        st = prop.block_status[f"{b.label}:il"]
-        if st not in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
-            raise InternalConsistencyError("unbalanced SU datum with a non-maximal "
-                                           "vanishing block")
+    if not _maximal_sum(prop, [f"{b.label}:il" for b in vanishing]):
+        raise InternalConsistencyError("unbalanced SU datum whose vanishing blocks "
+                                       "are not maximal with one sign")
     half = sum(b.d_eff for b in vanishing) // 2
     rest = sum(b.d_eff for b in definite)
     if {spec.p, spec.q} != {half, half + rest} or spec.p == spec.q:
@@ -220,19 +213,13 @@ def _match_so_star_shape(spec, system, prop) -> str:
                                        "definite quaternionic line")
     if not vanishing and not zeros:
         raise InternalConsistencyError("unbalanced SO* datum with nothing maximal")
-    for b in vanishing:
-        st = prop.block_status[f"{b.label}:+l"]
-        if st not in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
-            raise InternalConsistencyError("unbalanced SO* datum with a non-maximal "
-                                           "vanishing pair")
-    for z in zeros:
-        if not z.sig.is_vanishing():
-            raise InternalConsistencyError("unbalanced SO* datum with nonvanishing "
-                                           "zero block")
-        st = prop.block_status["0"]
-        if st not in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
-            raise InternalConsistencyError("unbalanced SO* datum with non-maximal "
-                                           "zero block")
+    if any(not z.sig.is_vanishing() for z in zeros):
+        raise InternalConsistencyError("unbalanced SO* datum with nonvanishing "
+                                       "zero block")
+    labels = [f"{b.label}:+l" for b in vanishing] + (["0"] if zeros else [])
+    if not _maximal_sum(prop, labels):
+        raise InternalConsistencyError("unbalanced SO* datum whose vanishing blocks "
+                                       "are not maximal with one sign")
     if spec.m % 2 == 0:
         raise InternalConsistencyError("unbalanced SO*(2m) datum with even m")
     return f"SO*({2 * spec.m - 2}) x SO(2)"

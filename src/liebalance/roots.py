@@ -98,9 +98,6 @@ class RootSystem:
             d[self.zero.label] = self.zero
         return d
 
-    def adjoint_by_label(self) -> Dict[str, AdjointRoot]:
-        return {r.label: r for r in self.adjoint}
-
     def dim_audit(self) -> Tuple[int, int]:
         """(sum of weight space dims incl. the zero space, closed-form dim g)."""
         total = self.dim_g0 + sum(r.dim for r in self.adjoint)

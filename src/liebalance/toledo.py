@@ -19,19 +19,24 @@ the module does enforce is everything that restricts such statuses:
   pathway exists only when the group acting on the zero weight space is of
   tube type, i.e. in half the dimensions.
 
-Every forced status carries a machine-readable rule tag so sweeps can audit
-that no forcing happens without justification.
+These rules read only the group and the root system, so each adjoint weight
+gets one ``WeightRule``: a forced status with its machine-readable rule tag
+(audited by the sweeps), or the block weight whose status it reads, flipped
+or not. Decorations then set block statuses, and every adjoint status is
+read through its rule; ``Propagation.substituted`` re-reads them for each
+status assignment ``classify`` enumerates. An explicit ``unknown`` sets no
+status: the weight counts as undecorated, and a Toledo value on it still
+meets the Milnor-Wood check.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from .blocks import ScenarioError
-from .exact import Signature
 from .groups import Family, GroupSpec
 from .roots import AdjointRoot, RootSystem
 
@@ -99,13 +104,13 @@ def toledo_conjugate(t: ToledoData) -> ToledoData:
     return ToledoData(t.status.flip(), None if t.value is None else -t.value, t.rank)
 
 
-def toledo_direct_sum(parts: Sequence[ToledoData]) -> ToledoData:
-    value = None
-    if all(p.value is not None for p in parts):
-        value = sum((p.value for p in parts), Fraction(0))
-    rank = None
-    if all(p.rank is not None for p in parts):
-        rank = sum(p.rank for p in parts)
+def toledo_direct_sum(parts: Sequence[Union[ToledoData, Status]]) -> ToledoData:
+    """Toledo data of a direct sum. A part given as a bare Status has no
+    known value or rank, so neither has the sum."""
+    parts = [p if isinstance(p, ToledoData) else ToledoData(p) for p in parts]
+    value = None if any(p.value is None for p in parts) else \
+        sum((p.value for p in parts), Fraction(0))
+    rank = None if any(p.rank is None for p in parts) else sum(p.rank for p in parts)
     statuses = [p.status for p in parts]
     if any(s == Status.UNKNOWN for s in statuses):
         status = Status.UNKNOWN
@@ -138,61 +143,85 @@ class Decoration:
     value: Optional[Fraction] = None
 
 
-@dataclass
-class PropagatedRoot:
+@dataclass(frozen=True)
+class WeightRule:
+    """What the tightness rules make of one adjoint weight, from the group and
+    the root system alone: its status is either forced to non_maximal
+    (``forced_tag`` names the rule; it is None for a weight that is not pure
+    imaginary) or read from the block weight ``derived_from``, flipped when
+    ``flipped`` is set."""
     root: AdjointRoot
+    forced_tag: Optional[str]
+    derived_from: Optional[str]
+    flipped: bool
+
+    def read(self, block_status: Dict[str, Status]) -> Status:
+        if self.derived_from is None:
+            return Status.NON_MAXIMAL
+        status = block_status[self.derived_from]
+        return status.flip() if self.flipped else status
+
+
+@dataclass(frozen=True)
+class PropagatedRoot(WeightRule):
     status: Status
-    forced_tag: Optional[str] = None     # rule tag when the status was forced
-    derived_from: Optional[str] = None   # block weight whose status decides this one
-    flipped: bool = False                # derived status is the flip of that weight's
 
 
 @dataclass
 class Propagation:
     block_status: Dict[str, Status]
-    adjoint: List[PropagatedRoot]
+    rules: List[WeightRule]
+    adjoint: List[PropagatedRoot] = field(init=False)
 
-    def unknown_blocks(self) -> List[str]:
-        """Block weights whose unknown status is still referenced by some
-        surviving adjoint weight."""
+    def __post_init__(self):
+        self.adjoint = [PropagatedRoot(**vars(r), status=r.read(self.block_status))
+                        for r in self.rules]
+
+    def unknown_blocks(self, std) -> List[str]:
+        """Block weights whose unknown status some adjoint weight still reads,
+        one per pair +-l: a status on one weight sets its negation."""
         labels = sorted({p.derived_from for p in self.adjoint
-                         if p.forced_tag is None and p.derived_from is not None
+                         if p.derived_from is not None
                          and self.block_status[p.derived_from] == Status.UNKNOWN})
-        return labels
+        return [label for i, label in enumerate(labels)
+                if std[label].negation not in labels[:i]]
 
-
-def _definite_positive(sig: Signature) -> bool:
-    return sig.is_definite() and sig.pos > 0
+    def substituted(self, spec: GroupSpec, std, assignment) -> "Propagation":
+        """This propagation with each (label, status) of ``assignment`` set on
+        that block weight and its negation, as a decoration sets them; the
+        adjoint statuses are read again through the same rules."""
+        block_status = dict(self.block_status)
+        for label, status in assignment:
+            block_status.update(_mirrored(spec, std, label, status))
+        return Propagation(block_status, self.rules)
 
 
 def propagate_constraints(spec: GroupSpec, system: RootSystem,
                           decorations: Sequence[Decoration],
                           surface: Optional[SurfaceData] = None) -> Propagation:
-    """Resolve every adjoint weight to a status, forcing where the tightness
-    rules leave no choice. Idempotent by construction (pure function of the
-    inputs)."""
+    """Build every adjoint weight's rule once, set the block weights' statuses
+    from the decorations, and read each adjoint status through its rule. A
+    pure function of the inputs, hence idempotent."""
     std = system.standard_by_label()
-    adj = system.adjoint_by_label()
+    rules = {root.label: _rule(spec, std, root)
+             for root in sorted(system.adjoint, key=lambda r: r.label)}
 
-    # 1. statuses on standard weights
-    block_status: Dict[str, Status] = {}
-    declared_value: Dict[str, Fraction] = {}
-    for label, r in std.items():
-        if not r.pure_imaginary or r.sig is None:
-            block_status[label] = Status.NON_MAXIMAL
-        elif r.sig.is_definite():
-            block_status[label] = Status.NON_MAXIMAL  # compact action, T = 0
-        else:
-            block_status[label] = Status.UNKNOWN
+    # without a sesquilinear structure, or on a definite one (a compact
+    # action, T = 0), a weight is non-maximal; elsewhere it is undecided
+    block_status = {label: Status.UNKNOWN if r.pure_imaginary and r.sig is not None
+                    and not r.sig.is_definite() else Status.NON_MAXIMAL
+                    for label, r in std.items()}
 
     explicit: set = set()
-    adjoint_decos: List[Decoration] = []
+    declared_value: Dict[str, Fraction] = {}
     for deco in decorations:
         if deco.target in std:
             _apply_standard_decoration(spec, std, block_status, declared_value,
                                        deco, explicit)
-        elif deco.target in adj:
-            adjoint_decos.append(deco)
+        elif deco.target in rules:
+            # adjoint-level decorations are sugar for the block they reference
+            _apply_adjoint_decoration(spec, std, block_status, rules[deco.target],
+                                      deco, explicit)
         else:
             raise ScenarioError(f"decoration target {deco.target!r} is not a weight label")
 
@@ -205,23 +234,12 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
                     raise ScenarioError(
                         f"Toledo value {v} on {label} exceeds the Milnor-Wood bound {bound}")
 
-    # 2. resolve adjoint weights
-    resolved: List[PropagatedRoot] = []
-    for root in sorted(system.adjoint, key=lambda r: r.label):
-        resolved.append(_resolve(spec, system, std, block_status, root))
-
-    # 3. adjoint-level decorations are sugar for the block they reference
-    for deco in adjoint_decos:
-        _apply_adjoint_decoration(spec, std, block_status, resolved, adj[deco.target],
-                                  deco, explicit)
-    if adjoint_decos:
-        resolved = [_resolve(spec, system, std, block_status, p.root) for p in resolved]
-
-    return Propagation(block_status, resolved)
+    return Propagation(block_status, list(rules.values()))
 
 
-def _mirror(spec: GroupSpec, status: Status) -> Status:
-    """Status of the opposite weight -l given the status of l.
+def _mirrored(spec, std, label, status):
+    """(label, status), and the mirror status on the opposite weight -l when
+    that is another weight.
 
     The antilinear structure identifies I_{-l} with the conjugate of I_l, so
     Toledo values negate; with the i*s dressing used when s is skew
@@ -229,19 +247,21 @@ def _mirror(spec: GroupSpec, status: Status) -> Status:
     carried over unchanged. The observable symmetry -- opposite adjoint
     weights carry opposite statuses -- holds either way.
     """
-    if spec.eta_epsilon == -1:
-        return status
-    return status.flip()
+    r = std[label]
+    settings = [(label, status)]
+    if r.negation and r.negation != label:
+        settings.append((r.negation, status if spec.eta_epsilon == -1 else status.flip()))
+    return settings
 
 
 def _set_status(spec, std, block_status, explicit, label, status, target):
     """Set a standard weight's status and its negation's mirror, as the
     decoration on ``target`` asks. Either one already set by another
-    decoration to something else is a conflict."""
-    r = std[label]
-    settings = [(label, status)]
-    if r.negation and r.negation != label:
-        settings.append((r.negation, _mirror(spec, status)))
+    decoration to something else is a conflict. An explicit unknown sets
+    nothing: the weight counts as undecorated."""
+    if status == Status.UNKNOWN:
+        return
+    settings = _mirrored(spec, std, label, status)
     for lbl, st in settings:
         if lbl in explicit and block_status[lbl] != st:
             raise ScenarioError(
@@ -266,36 +286,38 @@ def _apply_standard_decoration(spec, std, block_status, declared_value, deco, ex
         declared_value[deco.target] = deco.value
 
 
-def _apply_adjoint_decoration(spec, std, block_status, resolved, root, deco, explicit):
-    prop = next(p for p in resolved if p.root.label == root.label)
-    if prop.forced_tag is not None:
+def _apply_adjoint_decoration(spec, std, block_status, rule: WeightRule, deco, explicit):
+    label = rule.root.label
+    if rule.forced_tag is not None:
         if deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
             raise ScenarioError(
-                f"decoration on {root.label} contradicts a forced status ({prop.forced_tag})")
+                f"decoration on {label} contradicts a forced status ({rule.forced_tag})")
         return
-    if prop.derived_from is None:
-        raise ScenarioError(f"adjoint weight {root.label} accepts no decoration")
-    want = deco.status.flip() if prop.flipped else deco.status
-    _set_status(spec, std, block_status, explicit, prop.derived_from, want, root.label)
+    if rule.derived_from is None:
+        raise ScenarioError(f"adjoint weight {label} accepts no decoration")
+    want = deco.status.flip() if rule.flipped else deco.status
+    _set_status(spec, std, block_status, explicit, rule.derived_from, want, label)
 
 
-def _resolve(spec, system, std, block_status, root: AdjointRoot) -> PropagatedRoot:
+def _rule(spec, std, root: AdjointRoot) -> WeightRule:
+    def forced(tag):
+        return WeightRule(root, tag, None, False)
+
     if not root.pure_imaginary:
-        return PropagatedRoot(root, Status.NON_MAXIMAL)
+        return forced(None)
     if root.source[0] == "wedge":
-        return PropagatedRoot(root, Status.NON_MAXIMAL, forced_tag=TAG_DOUBLE)
+        return forced(TAG_DOUBLE)
     if root.sig is None or not root.sig.is_vanishing():
-        return PropagatedRoot(root, Status.NON_MAXIMAL, forced_tag=TAG_VANISHING)
+        return forced(TAG_VANISHING)
 
     _, a_label, b_label = root.source
     ra, rb = std[a_label], std[b_label]
-    pairing_tag = TAG_PAIRING_SU if spec.family == Family.SU else TAG_PAIRING_ORTH
     a_def = ra.sig is not None and ra.sig.is_definite()
     b_def = rb.sig is not None and rb.sig.is_definite()
     a_van = ra.sig is not None and ra.sig.is_vanishing()
     b_van = rb.sig is not None and rb.sig.is_vanishing()
     if not ((a_def and b_van) or (b_def and a_van)):
-        return PropagatedRoot(root, Status.NON_MAXIMAL, forced_tag=pairing_tag)
+        return forced(TAG_PAIRING_SU if spec.family == Family.SU else TAG_PAIRING_ORTH)
 
     zero_side = ra if ra.is_zero else (rb if rb.is_zero else None)
     if zero_side is not None:
@@ -305,20 +327,13 @@ def _resolve(spec, system, std, block_status, root: AdjointRoot) -> PropagatedRo
             # of its complement; only a tight tube-type embedding could make
             # it maximal
             if spec.family == Family.SO:
-                return PropagatedRoot(root, Status.NON_MAXIMAL, forced_tag=TAG_SPLIT_ORTH)
-            if spec.family == Family.SO_STAR:
-                half = zero_side.dim // 2
-                if half % 2 == 1:
-                    return PropagatedRoot(root, Status.NON_MAXIMAL,
-                                          forced_tag=TAG_VANISHING)
+                return forced(TAG_SPLIT_ORTH)
+            if spec.family == Family.SO_STAR and (zero_side.dim // 2) % 2 == 1:
+                return forced(TAG_VANISHING)
 
     # one side definite: maximality transfers to the other side, with a sign
     # flip when the definite side is negative definite (source) or positive
     # definite (target)
     if a_def:
-        ref, flip = rb, not _definite_positive(ra.sig)
-    else:
-        ref, flip = ra, _definite_positive(rb.sig)
-    status = block_status[ref.label]
-    eff = status.flip() if flip else status
-    return PropagatedRoot(root, eff, derived_from=ref.label, flipped=flip)
+        return WeightRule(root, None, rb.label, ra.sig.pos == 0)
+    return WeightRule(root, None, ra.label, rb.sig.pos > 0)

@@ -9,7 +9,10 @@ Tolerances and bounds are pinned here and nowhere else:
   3. dimension audits, exact, on every synthesized instance;
   4. classification sweeps (SU p+q<=6, SO p+q<=8, Sp(2m,R) 2m<=8,
      SO*(2n) 2n<=12, SL(n,R)/SL(m,H) n<=8, Sp(p,q) 2(p+q)<=8) reproduce the
-     rigid list with no false positives or negatives, under 10 min;
+     rigid list with no false positives or negatives, under 10 min; the SU
+     and SO* lists equal the theorem's, predicted from block kinds,
+     signatures and decorations, and the SU list is closed under
+     (p,q) -> (q,p);
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -23,6 +26,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -38,7 +42,7 @@ from liebalance.groups import Family
 from liebalance.oracle import oracle_check, synthesize_model, brute_force_roots
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import root_system
-from liebalance.sweep import _configurations, run_sweep
+from liebalance.sweep import MAX_DECORATIONS, _configurations, bk_desc, run_sweep
 from liebalance.appendix import verify_appendix_embeddings
 from liebalance.toledo import (ALL_TAGS, Status, SurfaceData, ToledoData,
                                milnor_wood_bound, toledo_conjugate,
@@ -222,6 +226,91 @@ def test_criterion_4_sweeps_classify_every_configuration_they_enumerate():
         assert res.configurations == len(_configurations(fam, res.bound)), fam
         assert (res.configurations, res.runs, len(res.rigid)) == SWEEP_COUNTS[fam], fam
         assert _rigid_digest(res.rigid) == SWEEP_RIGID_DIGESTS[fam], fam
+
+
+def _entry_key(entry):
+    return entry["group"], tuple(entry["blocks"]), tuple(sorted(entry["decorations"]))
+
+
+def _predicted_rigid(family, bound):
+    """The rigid list the theorem predicts for a sweep, read from block kinds,
+    signatures and decorations alone. A surface group is rigid only when it
+    is maximal in S(U(p,p) x U(q-p)) in SU(p,q), p != q, or in
+    SO*(2m-2) x SO(2) in SO*(2m), m odd: the blocks of vanishing signature
+    carry the maximal part, all with one Toledo sign (the invariant adds over
+    a direct sum), and the rest is one compact factor."""
+    statuses = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    maximal = {Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE}
+    predicted = set()
+    for combo in _configurations(family, bound):
+        bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+        spec = blocks.spec_for(family, bl)
+        # the sweep decorates one weight of each vanishing block
+        targets = [("0" if b.kind == "zero" else
+                    f"{b.label}:il" if b.kind == "sesq_self" else f"{b.label}:+l")
+                   for b in bl if b.sig is not None and b.sig.is_vanishing()]
+        assert len(targets) <= MAX_DECORATIONS
+        definite = [b for b in bl if b.sig is not None and b.sig.is_definite()]
+        vanishing = [b for b in bl if b.sig is not None and b.sig.is_vanishing()]
+        if family == Family.SU:
+            shape = (all(b.kind == "sesq_self" for b in bl)
+                     and len(definite) + len(vanishing) == len(bl)
+                     and len({b.sig.pos > 0 for b in definite}) == 1
+                     and len(vanishing) >= 1)
+        else:
+            shape = (spec.m % 2 == 1
+                     and len(definite) == 1 and definite[0].kind == "imag_pair"
+                     and definite[0].dim == 1
+                     and all(b.kind in ("imag_pair", "zero") for b in vanishing)
+                     and len(vanishing) == len(bl) - 1 >= 1)
+        for assignment in itertools.product(statuses, repeat=len(targets)):
+            if shape and len(set(assignment)) == 1 and assignment[0] in maximal:
+                predicted.add((spec.describe(), tuple(bk_desc(b) for b in bl),
+                               tuple(sorted(f"{t}={st.value}"
+                                            for t, st in zip(targets, assignment)))))
+    return predicted
+
+
+def test_criterion_4_rigid_lists_are_the_theorems():
+    sweeps = _sweeps()
+    for fam in (Family.SU, Family.SO_STAR):
+        res = sweeps[fam]
+        found = {_entry_key(r) for r in res.rigid}
+        assert len(found) == len(res.rigid), fam
+        predicted = _predicted_rigid(fam, res.bound)
+        assert found - predicted == set(), (fam, sorted(found - predicted)[:4])
+        assert predicted - found == set(), (fam, sorted(predicted - found)[:4])
+
+
+_BLOCK_DESC = re.compile(r"(\w+)\(d=(\d+),r=(\d+),sig=\((\d+),(\d+)\)\)")
+
+
+def _label_free(entry, swap):
+    """An SU rigid entry as (p, q, multiset of (block, status on it)), with
+    p and q and every signature swapped, and the sign of every maximal
+    status flipped, when swap is set."""
+    p, q = map(int, entry["group"][3:-1].split(","))
+    status = {}
+    for deco in entry["decorations"]:
+        target, value = deco.split("=")
+        status[int(target[1:target.index(":")])] = Status(value)
+    rows = []
+    for i, desc in enumerate(entry["blocks"]):
+        kind, d, r, a, b = _BLOCK_DESC.fullmatch(desc).groups()
+        st = status.get(i)
+        if swap:
+            a, b, st = b, a, st and st.flip()
+        rows.append((kind, d, r, a, b, st and st.value))
+    if swap:
+        p, q = q, p
+    return p, q, tuple(sorted(rows, key=str))
+
+
+def test_criterion_4_su_rigid_list_is_symmetric_under_p_q_swap():
+    rigid = _sweeps()[Family.SU].rigid
+    entries = {_label_free(r, swap=False) for r in rigid}
+    assert len(entries) == len(rigid)
+    assert {_label_free(r, swap=True) for r in rigid} == entries
 
 
 def test_criterion_5_certificate_soundness(capsys):

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
 from liebalance import blocks, groups
 from liebalance.blocks import ScenarioError
-from liebalance.classify import classify
+from liebalance.classify import (InternalConsistencyError, _assignments,
+                                 _match_rigid_shape, classify)
+from liebalance.groups import Family
+from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import root_system
-from liebalance.toledo import Decoration, Status, SurfaceData
+from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
 
 
 def run(spec, bl, decos=()):
@@ -156,3 +161,70 @@ def test_abelian_so2c_builds_but_does_not_classify():
     with pytest.raises(ScenarioError, match="adjoint weights do not span"):
         classify(spec, SurfaceData(genus=2), sys, [])
     assert root_system(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)]).adjoint_spans
+
+
+MIXED_SIGN_DATA = [
+    (Family.SU, [blocks.sesq_self(1, (0, 1), (1, 0), label="D"),
+                 blocks.sesq_self(2, (1, 1), (1, 0), label="E"),
+                 blocks.sesq_self(2, (1, 1), (1, 0), label="F")],
+     [Decoration("E:il", Status.MAXIMAL_POSITIVE),
+      Decoration("F:il", Status.MAXIMAL_NEGATIVE)]),
+    (Family.SO_STAR, [blocks.imag_pair(1, 1, (1, 0), label="b0"),
+                      blocks.imag_pair(2, 1, (1, 1), label="b1"),
+                      blocks.zero_block(4, (2, 2))],
+     [Decoration("b1:+l", Status.MAXIMAL_POSITIVE),
+      Decoration("0", Status.MAXIMAL_NEGATIVE)]),
+]
+
+
+@pytest.mark.parametrize("family,bl,decos", MIXED_SIGN_DATA, ids=["su", "so_star"])
+def test_rigid_shape_needs_one_maximal_sign(family, bl, decos):
+    """Toledo values add over a direct sum, so vanishing blocks of opposite
+    maximal signs are not maximal together: an unbalanced verdict on them
+    is a fault, not a rigid shape."""
+    spec = blocks.spec_for(family, bl)
+    system = root_system(spec, bl)
+    prop = propagate_constraints(spec, system, decos)
+    with pytest.raises(InternalConsistencyError, match="one sign"):
+        _match_rigid_shape(spec, system, prop)
+    same_sign = [Decoration(d.target, Status.MAXIMAL_POSITIVE) for d in decos]
+    assert _match_rigid_shape(spec, system,
+                              propagate_constraints(spec, system, same_sign))
+    verdict, _ = run(spec, bl, decos)
+    assert verdict.flexible
+
+
+def _as_rows(prop):
+    return prop.block_status, [(p.root.label, p.status, p.forced_tag, p.derived_from,
+                                p.flipped) for p in prop.adjoint]
+
+
+def test_substituted_statuses_equal_a_fresh_propagation():
+    """Substituting an enumerated assignment into one propagation gives what
+    propagating the assignment as extra decorations gives."""
+    rng = random.Random(2024)
+    statuses = list(Status)
+    substituted = 0
+    for family in ALL_FAMILIES:
+        for _ in range(25):
+            spec, bl = random_scenario(family, rng, 10)
+            system = root_system(spec, bl)
+            std = system.standard_by_label()
+            decos = []
+            for label, r in std.items():
+                if r.negation in (d.target for d in decos) or rng.random() < 0.5:
+                    continue
+                vanishing = r.pure_imaginary and r.sig is not None and r.sig.is_vanishing()
+                decos.append(Decoration(label, rng.choice(
+                    statuses if vanishing else [Status.NON_MAXIMAL, Status.UNKNOWN])))
+            prop = propagate_constraints(spec, system, decos)
+            unknowns = prop.unknown_blocks(std)
+            if len(unknowns) > 4:
+                continue
+            for assignment in _assignments(std, unknowns):
+                fresh = propagate_constraints(
+                    spec, system, decos + [Decoration(l, s) for l, s in assignment])
+                assert _as_rows(prop.substituted(spec, std, assignment)) == \
+                    _as_rows(fresh), (spec.describe(), decos, assignment)
+                substituted += 1
+    assert substituted > 200, substituted

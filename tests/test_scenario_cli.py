@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -341,3 +342,45 @@ def test_from_json_gives_a_scenario_or_a_scenario_error(case):
     again = sc_mod.from_json(json.loads(json.dumps(sc_mod.to_json(sc))))
     assert sc_mod.to_json(again) == sc_mod.to_json(sc)
 
+
+
+DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+def _demo_with(name, *decorations):
+    doc = json.loads((DEMO_SCENARIOS / name).read_text())
+    doc["decorations"] += list(decorations)
+    return doc
+
+
+def _without_scenario(rep):
+    return {k: v for k, v in rep.items() if k != "scenario"}
+
+
+def test_cli_check_explicit_unknown_on_undecided_weight(tmp_path, capsys):
+    # an explicit unknown counts as undecorated: the enumeration decides E:il
+    # exactly as it does for the bare demo
+    code, rep = _check_json(tmp_path, capsys, _demo_with("su23_undecided.json"))
+    code_u, rep_u = _check_json(tmp_path, capsys, _demo_with(
+        "su23_undecided.json", {"target": "E:il", "status": "unknown"}))
+    assert code == code_u == 2
+    assert _without_scenario(rep_u) == _without_scenario(rep)
+
+
+def test_cli_check_explicit_unknown_leaves_definite_weight_non_maximal(tmp_path, capsys):
+    code, rep = _check_json(tmp_path, capsys, _demo_with(
+        "su23_rigid.json", {"target": "D:il", "status": "unknown"}))
+    assert code == 0
+    assert rep["verdict"]["outcome"] == "rigid_maximal"
+    status = {w["label"]: w["status"] for w in rep["standard_weights"]}
+    assert status["D:il"] == "non_maximal"
+    assert status["E:il"] == "maximal_positive"
+
+
+def test_cli_check_explicit_unknown_still_meets_milnor_wood(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(_demo_with(
+        "su23_undecided.json",
+        {"target": "E:il", "status": "unknown", "toledo_quanta": 10 ** 6})))
+    assert main(["check", str(path)]) == 3
+    assert "Milnor-Wood" in capsys.readouterr().err

@@ -40,6 +40,10 @@ def test_combine_direct_sum_same_sign():
     t2 = ToledoData(Status.MAXIMAL_POSITIVE, Fraction(4), rank=2)
     s = toledo_direct_sum([t1, t2])
     assert s.status == Status.MAXIMAL_POSITIVE and s.value == 6 and s.rank == 3
+    # a bare status is a part of unknown value and rank
+    s = toledo_direct_sum([t1, Status.MAXIMAL_POSITIVE])
+    assert s.status == Status.MAXIMAL_POSITIVE and s.value is None and s.rank is None
+    assert toledo_direct_sum([t1, Status.MAXIMAL_NEGATIVE]).status == Status.NON_MAXIMAL
 
 
 def test_combine_unknown_never_fabricates():
