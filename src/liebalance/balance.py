@@ -29,7 +29,7 @@ Vec = Tuple[Fraction, ...]
 
 
 def _vec(v) -> Vec:
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def _dot(a: Vec, b: Vec) -> Fraction:

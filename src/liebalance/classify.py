@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
 from .blocks import ScenarioError
@@ -83,9 +83,16 @@ def _short_circuit(spec: GroupSpec, system: RootSystem) -> Optional[str]:
     return None
 
 
+Decide = Callable[[BalancednessInstance], BalancednessCertificate]
+
+
 def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
-             decorations: Sequence[Decoration]) -> Tuple[FlexVerdict, Propagation]:
-    """Run constraint propagation and decide the verdict."""
+             decorations: Sequence[Decoration],
+             decide: Optional[Decide] = None) -> Tuple[FlexVerdict, Propagation]:
+    """Run constraint propagation and decide the verdict. Every balancedness
+    instance goes to `decide`, by default `is_balanced` as bound in this
+    module when called; a sweep passes its own memo of it."""
+    decide = decide or is_balanced
     prop = propagate_constraints(spec, system, decorations, surface)
     genus_ok = surface.genus_bound_ok(spec)
 
@@ -97,7 +104,7 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     reason = _short_circuit(spec, system)
     if reason is not None:
         inst = balance_instance(system, prop)
-        cert = is_balanced(inst)
+        cert = decide(inst)
         if not cert.balanced:
             raise InternalConsistencyError(
                 f"{reason} configuration came out unbalanced")
@@ -107,12 +114,13 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     std = system.standard_by_label()
     unknowns = prop.unknown_blocks(std)
     if not unknowns:
-        return _decide(spec, system, prop, genus_ok), prop
+        return _decide(spec, system, prop, genus_ok, decide), prop
     if len(unknowns) > MAX_UNKNOWN_ENUMERATION:
         return FlexVerdict("indeterminate", "too_many_unknowns",
                            genus_bound_ok=genus_ok, unknown=unknowns), prop
 
-    outcomes = [_decide(spec, system, prop.substituted(spec, std, assignment), genus_ok)
+    outcomes = [_decide(spec, system, prop.substituted(spec, std, assignment), genus_ok,
+                        decide)
                 for assignment in _assignments(std, unknowns)]
     if all(o.outcome == "flexible" for o in outcomes):
         return FlexVerdict("flexible", "balanced_under_all_assignments",
@@ -132,9 +140,9 @@ def _assignments(std, unknowns: Sequence[str]):
         yield list(zip(unknowns, combo))
 
 
-def _decide(spec, system, prop: Propagation, genus_ok) -> FlexVerdict:
+def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide) -> FlexVerdict:
     inst = balance_instance(system, prop)
-    cert = is_balanced(inst)
+    cert = decide(inst)
     if cert.balanced:
         return FlexVerdict("flexible", "balanced", genus_bound_ok=genus_ok,
                            certificate=cert)

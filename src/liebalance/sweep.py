@@ -11,12 +11,14 @@ status must also carry one of the known rule tags.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from . import blocks as bk
 from . import groups
+from .balance import is_balanced
 from .blocks import Block
 from .classify import InternalConsistencyError, classify
 from .groups import Family
@@ -143,9 +145,17 @@ MAX_DECORATIONS = 6
 
 
 def run_sweep(family: Family, bound: int) -> SweepResult:
+    """Classify every decorated configuration of the family up to the bound.
+
+    The configurations of one sweep land on the same coordinates again and
+    again, so each distinct balancedness instance is decided once per call:
+    `decide` memoizes `is_balanced` on the frozen instance and dies with the
+    call. A sweep reads only the outcome, and every certificate was verified
+    when it was made, so sharing one between runs changes no output."""
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
+    decide = functools.lru_cache(maxsize=None)(is_balanced)
     for combo in _configurations(family, bound):
         blocks_ = [factory(f"b{i}") for i, (key, cost, factory) in enumerate(combo)]
         spec = bk.spec_for(family, blocks_)
@@ -157,7 +167,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
         for assignment in itertools.product(statuses, repeat=len(targets)):
             decos = [Decoration(t, s) for t, s in zip(targets, assignment)]
             try:
-                verdict, prop = classify(spec, surface, system, decos)
+                verdict, prop = classify(spec, surface, system, decos, decide)
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue

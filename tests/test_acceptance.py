@@ -12,7 +12,8 @@ Tolerances and bounds are pinned here and nowhere else:
      rigid list with no false positives or negatives, under 10 min; the SU
      and SO* lists equal the theorem's, predicted from block kinds,
      signatures and decorations, and the SU list is closed under
-     (p,q) -> (q,p);
+     (p,q) -> (q,p); the same holds for SU p+q<=8 and SO*(2n) 2n<=14, also
+     under 10 min;
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -271,15 +272,18 @@ def _predicted_rigid(family, bound):
     return predicted
 
 
+def _assert_rigid_list_is_the_theorems(res):
+    found = {_entry_key(r) for r in res.rigid}
+    assert len(found) == len(res.rigid), res.family
+    predicted = _predicted_rigid(res.family, res.bound)
+    assert found - predicted == set(), (res.family, sorted(found - predicted)[:4])
+    assert predicted - found == set(), (res.family, sorted(predicted - found)[:4])
+
+
 def test_criterion_4_rigid_lists_are_the_theorems():
     sweeps = _sweeps()
     for fam in (Family.SU, Family.SO_STAR):
-        res = sweeps[fam]
-        found = {_entry_key(r) for r in res.rigid}
-        assert len(found) == len(res.rigid), fam
-        predicted = _predicted_rigid(fam, res.bound)
-        assert found - predicted == set(), (fam, sorted(found - predicted)[:4])
-        assert predicted - found == set(), (fam, sorted(predicted - found)[:4])
+        _assert_rigid_list_is_the_theorems(sweeps[fam])
 
 
 _BLOCK_DESC = re.compile(r"(\w+)\(d=(\d+),r=(\d+),sig=\((\d+),(\d+)\)\)")
@@ -306,11 +310,35 @@ def _label_free(entry, swap):
     return p, q, tuple(sorted(rows, key=str))
 
 
-def test_criterion_4_su_rigid_list_is_symmetric_under_p_q_swap():
-    rigid = _sweeps()[Family.SU].rigid
+def _assert_symmetric_under_p_q_swap(rigid):
     entries = {_label_free(r, swap=False) for r in rigid}
     assert len(entries) == len(rigid)
     assert {_label_free(r, swap=True) for r in rigid} == entries
+
+
+def test_criterion_4_su_rigid_list_is_symmetric_under_p_q_swap():
+    _assert_symmetric_under_p_q_swap(_sweeps()[Family.SU].rigid)
+
+
+# (configurations, decorated runs, rigid runs) of the two larger sweeps
+LARGER_SWEEP_COUNTS = {
+    (Family.SU, 8): (1580, 3138, 240), (Family.SO_STAR, 14): (1718, 5068, 52),
+}
+
+
+def test_criterion_4_larger_sweeps_are_the_theorems(capsys):
+    t0 = time.time()
+    sweeps = {key: run_sweep(*key) for key in LARGER_SWEEP_COUNTS}
+    dt = time.time() - t0
+    assert dt < 600.0, f"took {dt:.1f}s"
+    for key, res in sweeps.items():
+        assert res.ok, (key, res.mismatches[:4])
+        assert res.configurations == len(_configurations(*key)), key
+        assert (res.configurations, res.runs, len(res.rigid)) == LARGER_SWEEP_COUNTS[key], key
+        _assert_rigid_list_is_the_theorems(res)
+    _assert_symmetric_under_p_q_swap(sweeps[Family.SU, 8].rigid)
+    _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8 and SO*(2n) 2n<=14 give the "
+                      f"theorem's rigid lists in {dt:.1f}s")
 
 
 def test_criterion_5_certificate_soundness(capsys):

@@ -102,6 +102,21 @@ def test_certificates_always_verify_and_match_bruteforce():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError):
         inst(2, [[1, 0, 0]], [])
+    with pytest.raises(ValueError):
+        inst(2, [[Fraction(1), Fraction(0)]], [(Fraction(1),)])
+
+
+def test_make_stores_fractions_whatever_it_is_given():
+    ps, ns = [[1, -2], [0, 3]], [[5, 7]]
+    as_fractions = inst(2, [[Fraction(x) for x in v] for v in ps],
+                        [tuple(Fraction(x) for x in v) for v in ns])
+    mixed = inst(2, [[1, Fraction(-2)], [Fraction(0), 3]], [(Fraction(5), 7)])
+    from_ints = inst(2, ps, ns)
+    assert from_ints == mixed == as_fractions
+    assert hash(from_ints) == hash(mixed) == hash(as_fractions)
+    for i in (from_ints, mixed, as_fractions):
+        assert all(type(x) is Fraction for v in i.p_vectors + i.n_vectors for x in v)
+        assert all(type(v) is tuple for v in i.p_vectors + i.n_vectors)
 
 
 def _first_basis(vectors):
