@@ -9,9 +9,8 @@ invertible rational matrices.
 import random
 from fractions import Fraction
 
-from liebalance.exact import (GaussianRational, I, congruence, gmat,
-                              signature_of)
-from liebalance.linalg import rank
+from liebalance.exact import GaussianRational, I, gmat, signature_of
+from liebalance.linalg import conj_transpose, matmul, rank
 
 print("A definite form, a split form, and the tautological pairing")
 print("------------------------------------------------------------")
@@ -39,7 +38,7 @@ for trial in range(3):
               for _ in range(3)] for _ in range(3)]
         if rank(a) == 3:
             break
-    assert signature_of(congruence(a, base)) == sig
+    assert signature_of(matmul(conj_transpose(a), matmul(base, a))) == sig
     print(f"  random congruence {trial + 1}: unchanged")
 
 print()

@@ -8,7 +8,7 @@ permutes it, and the exact signature of the sesquilinear form s(v,v') =
 B(tau v, v') it inherits when that form exists. Those are the only inputs the
 classification consumes.
 
-Block kinds by family:
+Block kinds by family (``groups.FAMILIES`` lists them):
 
 * SL_C:   ``Cls(d, r)``
 * SL_R /
@@ -124,19 +124,6 @@ def zero_block(d0, sig=None, label=""):
     return Block("zero", d0, 1, sig=s, label=label)
 
 
-_FAMILY_KINDS = {
-    Family.SL_C: {"cls"},
-    Family.SL_R: {"real_cls", "conj_pair"},
-    Family.SL_H: {"real_cls", "conj_pair"},
-    Family.SU: {"sesq_self", "sesq_pair"},
-    Family.SO: {"imag_pair", "split_pair", "quad_pair", "zero"},
-    Family.SP_R: {"imag_pair", "split_pair", "quad_pair", "zero"},
-    Family.SP: {"imag_pair", "split_pair", "quad_pair", "zero"},
-    Family.SO_STAR: {"imag_pair", "split_pair", "quad_pair", "zero"},
-    Family.SO_C: {"dual_pair", "zero"},
-    Family.SP_C: {"dual_pair", "zero"},
-}
-
 # The weight spaces of each block kind, in slice order: a label suffix and the
 # weight as (re, im) coefficients of the block's real coordinates. A free
 # weight has coordinates (x, y), so conj_pair's z = x + iy and zc = x - iy;
@@ -210,7 +197,7 @@ def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
     if len(zeros) > 1:
         raise ScenarioError("give the zero weight space as a single aggregated block")
     for b in blocks:
-        if b.kind not in _FAMILY_KINDS[spec.family]:
+        if b.kind not in groups.FAMILIES[spec.family].kinds:
             raise ScenarioError(f"block kind {b.kind!r} is not valid for {spec.family.value}")
         if b.dim < 1 or b.mult < 1:
             raise ScenarioError("block dimensions and multiplicities must be >= 1")

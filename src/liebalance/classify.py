@@ -96,7 +96,9 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     prop = propagate_constraints(spec, system, decorations, surface)
     genus_ok = surface.genus_bound_ok(spec)
 
-    if not system.adjoint_spans:
+    # a nonzero X in c that every adjoint weight kills is central in g, so
+    # the weights span c* exactly when g is semisimple or c is zero
+    if system.dim_c > 0 and not spec.is_semisimple:
         raise ScenarioError(
             "adjoint weights do not span: the datum is not the center of a "
             "centralizer in a semisimple group")

@@ -308,13 +308,3 @@ def signature_of(m: Matrix) -> Signature:
             for k in range(n):
                 a[k][i] = a[k][i] - fc * a[k][piv]
     return Signature(pos, neg, null)
-
-
-def congruence(a: Matrix, m: Matrix) -> Matrix:
-    """A* M A for matrices over Q(i)."""
-    n = len(m)
-    k = len(a[0])
-    tmp = [[sum((m[i][l] * a[l][j] for l in range(n)), ZERO) for j in range(k)]
-           for i in range(n)]
-    return [[sum((a[l][i].conjugate() * tmp[l][j] for l in range(n)), ZERO)
-             for j in range(k)] for i in range(k)]

@@ -6,13 +6,16 @@ there is one, and the sign eta with tau^2 = eta*id for the antilinear structure
 tau cutting out the real form (eta = +1 for real structures, -1 for
 quaternionic ones). SU(p,q) is cut out by the adjoint of a sesquilinear form
 instead of a tau.
+
+``FAMILIES`` holds one row per family with all of that structure, and every
+property of ``GroupSpec`` reads its row.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 
 class Family(enum.Enum):
@@ -28,11 +31,8 @@ class Family(enum.Enum):
     SP_C = "SP_C"          # Sp(2m, C)
 
 
-_SL_LIKE = {Family.SL_R, Family.SL_C, Family.SL_H, Family.SU}
-_ORTH_LIKE = {Family.SO, Family.SP_R, Family.SP, Family.SO_STAR,
-              Family.SO_C, Family.SP_C}
-_COMPLEX = {Family.SL_C, Family.SO_C, Family.SP_C}
-_QUATERNIONIC = {Family.SL_H, Family.SP, Family.SO_STAR}
+# the sign epsilon of each ambient algebra's invariant bilinear form
+_EPSILON = {"sl": None, "so": +1, "sp": -1}
 
 
 @dataclass(frozen=True)
@@ -44,68 +44,60 @@ class GroupSpec:
     q: int = 0
 
     def __post_init__(self):
-        least = FAMILIES[self.family].min_dim
+        least = self._row.min_dim
         if min(self.n, self.m, self.p, self.q) < 0 or self.ambient_dim < least:
             raise ValueError(f"{self.family.value} needs nonnegative parameters "
                              f"and ambient dimension >= {least}")
+
+    @property
+    def _row(self) -> FamilyParams:
+        return FAMILIES[self.family]
 
     # -- ambient structure -------------------------------------------------
 
     @property
     def ambient_dim(self) -> int:
         """Complex dimension of the standard representation."""
-        f = self.family
-        if f in (Family.SL_R, Family.SL_C, Family.SO_C):
-            return self.n
-        if f == Family.SL_H:
-            return 2 * self.m
-        if f in (Family.SP_R, Family.SP_C, Family.SO_STAR):
-            return 2 * self.m
-        if f in (Family.SU, Family.SO):
-            return self.p + self.q
-        if f == Family.SP:
-            return 2 * (self.p + self.q)
-        raise AssertionError
+        return self._row.scale * (self.n + self.m + self.p + self.q)
 
     @property
     def epsilon(self) -> Optional[int]:
         """Sign of the invariant bilinear form of the ambient complex group."""
-        if self.family in (Family.SO, Family.SO_C, Family.SO_STAR):
-            return +1
-        if self.family in (Family.SP_R, Family.SP_C, Family.SP):
-            return -1
-        return None
+        return _EPSILON[self._row.algebra]
 
     @property
     def eta(self) -> Optional[int]:
         """tau^2 sign; None for complex families and SU."""
-        if self.family in (Family.SL_R, Family.SO, Family.SP_R):
-            return +1
-        if self.family in _QUATERNIONIC:
-            return -1
-        return None
+        return self._row.eta
 
     @property
     def is_complex(self) -> bool:
-        return self.family in _COMPLEX
+        return self._row.is_complex
 
     @property
     def is_quaternionic(self) -> bool:
-        return self.family in _QUATERNIONIC
+        return self.eta == -1
 
     @property
     def is_sl_like(self) -> bool:
-        return self.family in _SL_LIKE
+        return self._row.algebra == "sl"
 
     @property
     def is_orthogonal_like(self) -> bool:
-        return self.family in _ORTH_LIKE
+        """Whether the ambient group preserves a bilinear form (so or sp)."""
+        return self.epsilon is not None
 
     @property
     def is_compact(self) -> bool:
-        if self.family in (Family.SU, Family.SO, Family.SP):
-            return self.p == 0 or self.q == 0
-        return False
+        """SU, SO and Sp with a definite form; the families with a signature
+        (p, q) are exactly these three."""
+        return "p" in self._row.keys and (self.p == 0 or self.q == 0)
+
+    @property
+    def is_semisimple(self) -> bool:
+        """Whether the ambient algebra is semisimple. Of the ten families'
+        algebras only so(2), which is abelian, is not."""
+        return not (self._row.algebra == "so" and self.ambient_dim == 2)
 
     @property
     def eta_epsilon(self) -> Optional[int]:
@@ -120,14 +112,12 @@ class GroupSpec:
     @property
     def dim_complexified(self) -> int:
         """Complex dimension of the ambient complex Lie algebra, which equals
-        the real dimension of the real form (and plain dim for complex G)."""
+        the real dimension of the real form (and plain dim for complex G):
+        n^2 - 1 for sl(n), n(n - epsilon)/2 for so(n) and sp(n)."""
         n = self.ambient_dim
-        f = self.family
-        if f in _SL_LIKE:
+        if self.is_sl_like:
             return n * n - 1
-        if f in (Family.SO, Family.SO_C, Family.SO_STAR):
-            return n * (n - 1) // 2
-        return n * (n + 1) // 2
+        return n * (n - self.epsilon) // 2
 
     @property
     def dim_real(self) -> int:
@@ -140,28 +130,7 @@ class GroupSpec:
         return 2 * self.dim_real ** 2
 
     def describe(self) -> str:
-        f = self.family
-        if f == Family.SL_R:
-            return f"SL({self.n},R)"
-        if f == Family.SL_C:
-            return f"SL({self.n},C)"
-        if f == Family.SL_H:
-            return f"SL({self.m},H)"
-        if f == Family.SU:
-            return f"SU({self.p},{self.q})"
-        if f == Family.SO:
-            return f"SO({self.p},{self.q})"
-        if f == Family.SP_R:
-            return f"Sp({2 * self.m},R)"
-        if f == Family.SP:
-            return f"Sp({self.p},{self.q})"
-        if f == Family.SO_STAR:
-            return f"SO*({2 * self.m})"
-        if f == Family.SO_C:
-            return f"SO({self.n},C)"
-        if f == Family.SP_C:
-            return f"Sp({2 * self.m},C)"
-        raise AssertionError
+        return self._row.name.format(n=self.ambient_dim, m=self.m, p=self.p, q=self.q)
 
 
 def sl_r(n: int) -> GroupSpec:
@@ -214,20 +183,39 @@ class FamilyParams(NamedTuple):
     make: Callable[..., GroupSpec]   # constructor, called with the keys' values
     keys: Tuple[str, ...]            # scenario-file fields; "n" is the ambient dimension
     min_dim: int                     # smallest ambient dimension the family admits
+    scale: int                       # ambient dimension per unit of n, m or p + q
+    algebra: str                     # the ambient complex algebra: "sl", "so" or "sp"
+    eta: Optional[int]               # tau^2 = eta; None for SU and the complex groups
+    is_complex: bool
+    name: str                        # describe() template over n (ambient), m, p, q
+    kinds: FrozenSet[str]            # the block kinds its scenarios may use
 
 
-# SO(p,q) with p+q = 2 and SO*(2) are abelian, so SO starts at 3 and SO* at
-# 4. SO(2,C) is abelian too but stays allowed for the numeric oracle; the
-# classification layer rejects data whose adjoint weights fail to span.
+_SL_KINDS = frozenset({"real_cls", "conj_pair"})
+_REAL_FORM_KINDS = frozenset({"imag_pair", "split_pair", "quad_pair", "zero"})
+_COMPLEX_KINDS = frozenset({"dual_pair", "zero"})
+
+# A group sets only its own family's n, m or (p, q), through the constructors
+# above. SO(p,q) with p+q = 2 and SO*(2) are abelian, so SO starts at 3 and
+# SO* at 4. SO(2,C) is abelian too but stays allowed for the numeric oracle;
+# the classification layer rejects its data with a nonzero center.
 FAMILIES: Dict[Family, FamilyParams] = {
-    Family.SL_R: FamilyParams(sl_r, ("n",), 2),
-    Family.SL_C: FamilyParams(sl_c, ("n",), 2),
-    Family.SL_H: FamilyParams(sl_h, ("m",), 2),
-    Family.SU: FamilyParams(su, ("p", "q"), 2),
-    Family.SO: FamilyParams(so, ("p", "q"), 3),
-    Family.SP_R: FamilyParams(sp_r, ("n",), 2),
-    Family.SP: FamilyParams(sp, ("p", "q"), 2),
-    Family.SO_STAR: FamilyParams(so_star, ("n",), 4),
-    Family.SO_C: FamilyParams(so_c, ("n",), 2),
-    Family.SP_C: FamilyParams(sp_c, ("n",), 2),
+    Family.SL_R: FamilyParams(sl_r, ("n",), 2, 1, "sl", +1, False, "SL({n},R)", _SL_KINDS),
+    Family.SL_C: FamilyParams(sl_c, ("n",), 2, 1, "sl", None, True, "SL({n},C)",
+                              frozenset({"cls"})),
+    Family.SL_H: FamilyParams(sl_h, ("m",), 2, 2, "sl", -1, False, "SL({m},H)", _SL_KINDS),
+    Family.SU: FamilyParams(su, ("p", "q"), 2, 1, "sl", None, False, "SU({p},{q})",
+                            frozenset({"sesq_self", "sesq_pair"})),
+    Family.SO: FamilyParams(so, ("p", "q"), 3, 1, "so", +1, False, "SO({p},{q})",
+                            _REAL_FORM_KINDS),
+    Family.SP_R: FamilyParams(sp_r, ("n",), 2, 2, "sp", +1, False, "Sp({n},R)",
+                              _REAL_FORM_KINDS),
+    Family.SP: FamilyParams(sp, ("p", "q"), 2, 2, "sp", -1, False, "Sp({p},{q})",
+                            _REAL_FORM_KINDS),
+    Family.SO_STAR: FamilyParams(so_star, ("n",), 4, 2, "so", -1, False, "SO*({n})",
+                                 _REAL_FORM_KINDS),
+    Family.SO_C: FamilyParams(so_c, ("n",), 2, 1, "so", None, True, "SO({n},C)",
+                              _COMPLEX_KINDS),
+    Family.SP_C: FamilyParams(sp_c, ("n",), 2, 2, "sp", None, True, "Sp({n},C)",
+                              _COMPLEX_KINDS),
 }

@@ -30,7 +30,6 @@ floating-point oracle checks them on every instance it draws.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -102,18 +101,6 @@ class RootSystem:
         """(sum of weight space dims incl. the zero space, closed-form dim g)."""
         total = self.dim_g0 + sum(r.dim for r in self.adjoint)
         return total, self.spec.dim_complexified
-
-    @functools.cached_property
-    def adjoint_spans(self) -> bool:
-        """Whether the real and imaginary parts of the adjoint weights span
-        c*, as they do when c is the center of a centralizer in a semisimple
-        group (the abelian SO(2,C) is the exception the oracle still uses)."""
-        if self.dim_c == 0:
-            return True
-        # the adjoint weights repeat their parts heavily: rank each once
-        parts = dict.fromkeys(part for r in self.adjoint for part in (r.re, r.im))
-        rows = [list(part) for part in parts if any(part)]
-        return bool(rows) and linalg.frac_rank(rows) == self.dim_c
 
 
 def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):

@@ -258,12 +258,14 @@ def _predicted_rigid(family, bound):
                      and len(definite) + len(vanishing) == len(bl)
                      and len({b.sig.pos > 0 for b in definite}) == 1
                      and len(vanishing) >= 1)
-        else:
+        elif family == Family.SO_STAR:
             shape = (spec.m % 2 == 1
                      and len(definite) == 1 and definite[0].kind == "imag_pair"
                      and definite[0].dim == 1
                      and all(b.kind in ("imag_pair", "zero") for b in vanishing)
                      and len(vanishing) == len(bl) - 1 >= 1)
+        else:
+            shape = False   # no rigid data outside SU and SO*
         for assignment in itertools.product(statuses, repeat=len(targets)):
             if shape and len(set(assignment)) == 1 and assignment[0] in maximal:
                 predicted.add((spec.describe(), tuple(bk_desc(b) for b in bl),
@@ -320,9 +322,10 @@ def test_criterion_4_su_rigid_list_is_symmetric_under_p_q_swap():
     _assert_symmetric_under_p_q_swap(_sweeps()[Family.SU].rigid)
 
 
-# (configurations, decorated runs, rigid runs) of the two larger sweeps
+# (configurations, decorated runs, rigid runs) of the larger sweeps
 LARGER_SWEEP_COUNTS = {
     (Family.SU, 8): (1580, 3138, 240), (Family.SO_STAR, 14): (1718, 5068, 52),
+    (Family.SP, 10): (496, 740, 0), (Family.SO, 10): (1641, 2529, 0),
 }
 
 
@@ -337,8 +340,9 @@ def test_criterion_4_larger_sweeps_are_the_theorems(capsys):
         assert (res.configurations, res.runs, len(res.rigid)) == LARGER_SWEEP_COUNTS[key], key
         _assert_rigid_list_is_the_theorems(res)
     _assert_symmetric_under_p_q_swap(sweeps[Family.SU, 8].rigid)
-    _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8 and SO*(2n) 2n<=14 give the "
-                      f"theorem's rigid lists in {dt:.1f}s")
+    _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8, SO*(2n) 2n<=14, Sp(p,q) "
+                      f"2(p+q)<=10 and SO(p,q) p+q<=10 give the theorem's rigid "
+                      f"lists in {dt:.1f}s")
 
 
 def test_criterion_5_certificate_soundness(capsys):

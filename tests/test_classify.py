@@ -154,13 +154,22 @@ def test_certificates_attached_and_verified():
 
 def test_abelian_so2c_builds_but_does_not_classify():
     # SO(2,C) is a torus: it has a root system (the oracle uses it) but no
-    # adjoint weights, so they cannot span c*
+    # adjoint weights, so they cannot span a nonzero c*
     spec = groups.so_c(2)
     sys = root_system(spec, [blocks.dual_pair(1)])
-    assert sys.adjoint == [] and not sys.adjoint_spans
+    assert sys.adjoint == [] and sys.dim_c == 2 and not spec.is_semisimple
     with pytest.raises(ScenarioError, match="adjoint weights do not span"):
         classify(spec, SurfaceData(genus=2), sys, [])
-    assert root_system(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)]).adjoint_spans
+    v, _ = run(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)])
+    assert v.flexible and v.reason == "complex_group"
+
+
+def test_abelian_so2c_with_zero_center_is_flexible():
+    # with only the zero weight the center is 0, which nothing has to span
+    sys = root_system(groups.so_c(2), [blocks.zero_block(2)])
+    assert sys.adjoint == [] and sys.dim_c == 0
+    v, _ = run(groups.so_c(2), [blocks.zero_block(2)])
+    assert v.flexible and v.reason == "complex_group"
 
 
 MIXED_SIGN_DATA = [

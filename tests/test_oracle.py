@@ -462,7 +462,7 @@ def _scenarios_with(kind, per_family=3):
     """Per family that admits the kind, the first seeded draws that use it."""
     out = []
     for fam in ALL_FAMILIES:
-        if kind not in blocks._FAMILY_KINDS[fam]:
+        if kind not in groups.FAMILIES[fam].kinds:
             continue
         draws = (random_scenario(fam, random.Random(s), cap=8) for s in range(200))
         found = [(spec, bl) for spec, bl in draws if any(b.kind == kind for b in bl)]

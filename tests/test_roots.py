@@ -3,12 +3,13 @@ from random import Random
 
 import pytest
 
-from liebalance import blocks, groups, roots
+from liebalance import blocks, groups, linalg, roots
 from liebalance.blocks import ScenarioError
 from liebalance.exact import Signature
 from liebalance.groups import Family
 from liebalance.randomgen import random_scenario
 from liebalance.roots import AdjointRoot, root_system, wedge_dim
+from liebalance.sweep import _configurations
 
 
 def _relation_sum(sys):
@@ -310,3 +311,43 @@ def test_adjoint_enumeration_matches_the_family_loops(monkeypatch):
                 (family, s)
             # every space is built once: no constructed weight is thrown away
             assert len(built) == len(sys.adjoint), (family, s)
+
+
+def _adjoint_parts_rank(sys):
+    """Exact rank of the real and imaginary parts of the adjoint weights: the
+    span test `classify` once ran per system, kept here as the reference for
+    reading it from the group."""
+    parts = dict.fromkeys(part for r in sys.adjoint for part in (r.re, r.im))
+    rows = [list(part) for part in parts if any(part)]
+    return linalg.frac_rank(rows) if rows else 0
+
+
+# the seven sweep families, at bounds where every configuration is cheap
+SMALL_SWEEPS = [(Family.SU, 5), (Family.SO, 6), (Family.SP_R, 6), (Family.SO_STAR, 8),
+                (Family.SL_R, 6), (Family.SL_H, 6), (Family.SP, 6)]
+
+
+def _systems_for_the_span_test():
+    for family, bound in SMALL_SWEEPS:
+        for combo in _configurations(family, bound):
+            bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+            yield blocks.spec_for(family, bl), bl
+    for family in Family:
+        for s in range(30):
+            yield random_scenario(family, Random(s), cap=8)
+    yield groups.so_c(2), [blocks.dual_pair(1)]
+    yield groups.so_c(2), [blocks.zero_block(2)]
+
+
+def test_adjoint_weights_span_exactly_when_semisimple_or_no_center():
+    """A nonzero X in c that every adjoint weight kills acts by 0 on g, so it
+    is central: the parts span c* exactly when c = 0 or g is semisimple."""
+    failing = []
+    for spec, bl in _systems_for_the_span_test():
+        sys = root_system(spec, bl)
+        spans = _adjoint_parts_rank(sys) == sys.dim_c
+        assert spans == (sys.dim_c == 0 or spec.is_semisimple), (spec.describe(), bl)
+        if not spans:
+            failing.append(spec.describe())
+    # the test reaches the one family where the parts fail to span
+    assert failing and set(failing) == {"SO(2,C)"}

@@ -282,6 +282,18 @@ def test_cli_check_abelian_so2c_exits_3(tmp_path, capsys):
     assert "adjoint weights do not span" in capsys.readouterr().err
 
 
+def test_cli_check_so2c_zero_block_is_flexible(tmp_path, capsys):
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps({
+        "schema": "liebalance-scenario/1",
+        "group": {"family": "SO_C", "n": 2},
+        "surface": {"genus": 2},
+        "blocks": [{"kind": "zero", "dim": 2}],
+    }))
+    assert main(["check", str(file)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"]["outcome"] == "flexible"
+
+
 def test_cli_check_unreadable_file_exits_3(tmp_path):
     file = tmp_path / "sc.json"
     file.write_bytes(b'{"schema": "\xff"}')
