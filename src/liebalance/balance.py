@@ -118,7 +118,9 @@ def _phase_one(a_cols: List[Vec], b: Vec):
     m = len(b)
     n = len(a_cols)
     rows = [[a_cols[j][i] for j in range(n)] for i in range(m)]
-    rhs = list(b)
+    # Fractions throughout, so entries the support skips keep the type the
+    # updates would give them
+    rhs = [Fraction(x) for x in b]
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-x for x in rows[i]]
@@ -143,14 +145,21 @@ def _phase_one(a_cols: List[Vec], b: Vec):
         if not ratios:
             raise SimplexError("phase-one objective unbounded; impossible")
         _, _, leave = min(ratios, key=lambda r: (r[0], r[1]))
-        piv = t[leave][enter]
-        t[leave] = [x / piv for x in t[leave]]
+        prow = t[leave]
+        # a zero entry of the pivot row changes nothing: work on its support
+        support = [j for j, x in enumerate(prow) if x != 0]
+        piv = prow[enter]
+        for j in support:
+            prow[j] = prow[j] / piv
         for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                f = t[i][enter]
-                t[i] = [t[i][j] - f * t[leave][j] for j in range(ncols + 1)]
+            f = t[i][enter]
+            if i != leave and f != 0:
+                row = t[i]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         f = cost[enter]
-        cost = [cost[j] - f * t[leave][j] for j in range(ncols + 1)]
+        for j in support:
+            cost[j] = cost[j] - f * prow[j]
         basis[leave] = enter
     else:
         raise SimplexError("simplex failed to terminate")

@@ -63,7 +63,7 @@ class GroupSpec:
     @property
     def epsilon(self) -> Optional[int]:
         """Sign of the invariant bilinear form of the ambient complex group."""
-        return _EPSILON[self._row.algebra]
+        return self._row.epsilon
 
     @property
     def eta(self) -> Optional[int]:
@@ -80,7 +80,7 @@ class GroupSpec:
 
     @property
     def is_sl_like(self) -> bool:
-        return self._row.algebra == "sl"
+        return self._row.is_sl_like
 
     @property
     def is_orthogonal_like(self) -> bool:
@@ -103,9 +103,7 @@ class GroupSpec:
     def eta_epsilon(self) -> Optional[int]:
         """Symmetry sign of the sesquilinear form s(v,v') = B(tau v, v') on root
         spaces of the standard representation: +1 symmetric, -1 skew."""
-        if self.epsilon is None or self.eta is None:
-            return None
-        return self.epsilon * self.eta
+        return self._row.eta_epsilon
 
     # -- dimensions ---------------------------------------------------------
 
@@ -189,6 +187,23 @@ class FamilyParams(NamedTuple):
     is_complex: bool
     name: str                        # describe() template over n (ambient), m, p, q
     kinds: FrozenSet[str]            # the block kinds its scenarios may use
+
+    # the signs depend on the family alone; `GroupSpec` and the weight
+    # geometry of `roots` both read them here
+
+    @property
+    def epsilon(self) -> Optional[int]:
+        return _EPSILON[self.algebra]
+
+    @property
+    def eta_epsilon(self) -> Optional[int]:
+        if self.epsilon is None or self.eta is None:
+            return None
+        return self.epsilon * self.eta
+
+    @property
+    def is_sl_like(self) -> bool:
+        return self.algebra == "sl"
 
 
 _SL_KINDS = frozenset({"real_cls", "conj_pair"})

@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and Q(i): rank, RREF, null spaces, and the
 matrix helpers (products, transposes, conjugates) every exact module shares.
 
-Dense row reduction on small matrices (ambient dimensions stay in the tens),
-with deterministic pivot choice so downstream coordinate conventions are
-reproducible byte for byte.
+Row reduction on small matrices (ambient dimensions stay in the tens), with
+deterministic pivot choice so downstream coordinate conventions are
+reproducible byte for byte. Each elimination step touches only the pivot
+row's nonzero columns, which is most of the saving on the sparse sweep data.
 """
 
 from __future__ import annotations
@@ -27,12 +28,19 @@ def rref(rows) -> Tuple[List[List[GaussianRational]], List[int]]:
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r]
+        # rows at and below r vanish left of c, and a zero entry of the pivot
+        # row changes nothing: work on its support only
+        support = [k for k in range(c, ncols) if not prow[k].is_zero()]
+        inv = prow[c].inverse()
+        for k in support:
+            prow[k] = prow[k] * inv
         for i in range(nrows):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [a[i][k] - f * a[r][k] for k in range(ncols)]
+            f = a[i][c]
+            if i != r and not f.is_zero():
+                row = a[i]
+                for k in support:
+                    row[k] = row[k] - f * prow[k]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -13,6 +13,13 @@ its center, but not its forms: ``modelbuild`` builds T, B and s per block
 kind, and the oracle recovers the adjoint weights, their dimensions and
 signatures numerically, so a wrong entry of the table is caught there.
 
+Everything but the signatures depends only on the family and the blocks'
+skeleton, their kinds, dims, multiplicities and labels in canonical order:
+``weight_geometry`` builds that part, and signing it is the one place where
+signatures are computed. ``root_system`` validates the blocks, signatures
+included, takes the geometry, signs it and audits the dimensions; a sweep
+passes a memo of ``weight_geometry`` that lives as long as the sweep.
+
 Signatures of the Killing sesquilinear form s(X, X') = Trace(sigma(X) X') on
 pure imaginary adjoint weight spaces come from closed-form rules whose signs
 are read from the group:
@@ -30,14 +37,14 @@ floating-point oracle checks them on every instance it draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .blocks import WEIGHTS, Block, normalize_blocks
 from .exact import Signature
-from .groups import GroupSpec
-from . import linalg
+from .groups import Family, FamilyParams, GroupSpec
+from . import groups, linalg
 
 Vec = Tuple[Fraction, ...]
 
@@ -103,6 +110,26 @@ class RootSystem:
         return total, self.spec.dim_complexified
 
 
+# a block as the weight geometry reads it: (kind, dim, mult, label)
+Skeleton = Tuple[Tuple[str, int, int, str], ...]
+
+
+@dataclass(frozen=True)
+class WeightGeometry:
+    """A root system without its signatures. Coordinates, labels, dimensions
+    and sources, dim c and dim g0 depend only on the family and the skeleton
+    of the blocks in canonical order. Every root here has sig None;
+    `space_sigs` (for `_spaces(zero, standard)`) and `adjoint_sigs` record
+    where each signature comes from."""
+    dim_c: int
+    standard: Tuple[StandardRoot, ...]
+    zero: Optional[StandardRoot]
+    adjoint: Tuple[AdjointRoot, ...]
+    dim_g0: int
+    space_sigs: Tuple[Optional[Tuple[int, bool]], ...]
+    adjoint_sigs: Tuple[Optional[Tuple], ...]
+
+
 def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):
     """Basis of the solution space of the relations; returns the raw x k
     matrix A whose columns form the basis, as rows of length k."""
@@ -145,74 +172,88 @@ def wedge_dim(d: int, epsilon: int) -> int:
     return d * (d - 1) // 2 if epsilon == +1 else d * (d + 1) // 2
 
 
-def standard_roots(spec: GroupSpec, blocks: Sequence[Block]
-                   ) -> Tuple[List[Block], int, List[StandardRoot], Optional[StandardRoot]]:
+def skeleton(blocks: Sequence[Block]) -> Skeleton:
+    """What the weight geometry reads of each block."""
+    return tuple((b.kind, b.dim, b.mult, b.label) for b in blocks)
+
+
+def _spaces(zero: Optional[StandardRoot], standard: Sequence[StandardRoot]):
+    """The weight spaces, the zero space first so its adjoint spaces keep
+    their "0->l" labels."""
+    return list(standard) if zero is None else [zero, *standard]
+
+
+def _standard_weights(row: FamilyParams, skeleton: Skeleton):
     """Weights of c on the standard representation, with exact coordinates.
 
     Each block contributes the weights of its kind in ``blocks.WEIGHTS``, as
     combinations of the block's real coordinates. Where the group is special
     linear, c is traceless: the dimension-weighted sum of the weights vanishes
     on it, and its real and imaginary parts are the relations cutting c out of
-    the coordinates. Returns the normalized blocks, dim c, the nonzero
-    weights and the zero weight (None without a zero block).
+    the coordinates. Returns dim c, the zero weight (None without a zero
+    block), the nonzero weights, and for each weight space in `_spaces` order
+    the (block index, flipped) its signature comes from, or None.
     """
-    blocks = normalize_blocks(spec, blocks)
-    weighted = [b for b in blocks if b.kind != "zero"]
+    weighted = [(i, kind, dim * mult, label)
+                for i, (kind, dim, mult, label) in enumerate(skeleton) if kind != "zero"]
     # the blocks' real coordinates, numbered in block order
     spans, raw = [], 0
-    for b in weighted:
-        size = len(WEIGHTS[b.kind][0][1])
+    for _i, kind, _d, _label in weighted:
+        size = len(WEIGHTS[kind][0][1])
         spans.append(range(raw, raw + size))
         raw += size
 
     relations: List[List[Fraction]] = []
-    if spec.is_sl_like:
+    if row.is_sl_like:
         trace = [[Fraction(0)] * raw, [Fraction(0)] * raw]
-        for b, span in zip(weighted, spans):
-            for _suffix, re, im in WEIGHTS[b.kind]:
+        for (_i, kind, d_eff, _label), span in zip(weighted, spans):
+            for _suffix, re, im in WEIGHTS[kind]:
                 for j, cr, ci in zip(span, re, im):
-                    trace[0][j] += b.d_eff * cr
-                    trace[1][j] += b.d_eff * ci
-        relations = [row for row in trace if any(row)]
+                    trace[0][j] += d_eff * cr
+                    trace[1][j] += d_eff * ci
+        relations = [r for r in trace if any(r)]
     a, k = _reduce_map(raw, relations)
     # row i of the reduce map is raw coordinate i in the basis of c*
-    coords = [tuple(row) for row in a]
+    coords = [tuple(r) for r in a]
 
     roots: List[StandardRoot] = []
-    for b, span in zip(weighted, spans):
-        table = WEIGHTS[b.kind]
+    sigs: List[Optional[Tuple[int, bool]]] = []
+    for (i, kind, d_eff, label), span in zip(weighted, spans):
+        table = WEIGHTS[kind]
         own = [coords[j] for j in span]
         for suffix, re, im in table:
-            negation = next((f"{b.label}:{s}" for s, re2, im2 in table
+            negation = next((f"{label}:{s}" for s, re2, im2 in table
                              if re2 == _neg(re) and im2 == _neg(im)), None)
             pure_im = not any(re)
-            sig = None
-            if pure_im:
-                # the declared signature is that of the weight +t; for skew s
-                # the form i*s changes sign on its negation
-                sig = b.sig.flip() if spec.eta_epsilon == -1 and im[0] < 0 else b.sig
-            roots.append(StandardRoot(f"{b.label}:{suffix}", _combine(re, own, k),
-                                      _combine(im, own, k), b.d_eff, pure_im, sig,
-                                      b.label, negation))
+            roots.append(StandardRoot(f"{label}:{suffix}", _combine(re, own, k),
+                                      _combine(im, own, k), d_eff, pure_im, None,
+                                      label, negation))
+            # the declared signature is that of the weight +t; for skew s the
+            # form i*s changes sign on its negation
+            sigs.append((i, row.eta_epsilon == -1 and im[0] < 0) if pure_im else None)
     # real and imaginary parts of the weights still generate c* after the
     # trace relation cuts it down
     if relations and k:
         vecs = [list(r.re) for r in roots] + [list(r.im) for r in roots]
         if linalg.frac_rank(vecs) != k:
             raise AssertionError("standard weights fail to span the dual of c")
-    zero_root = next((StandardRoot("0", _zero_vec(k), _zero_vec(k), b.dim, True, b.sig,
-                                   b.label, negation="0")
-                      for b in blocks if b.kind == "zero"), None)
-    return blocks, k, roots, zero_root
+    for i, (kind, dim, _mult, label) in enumerate(skeleton):
+        if kind == "zero":
+            zero = StandardRoot("0", _zero_vec(k), _zero_vec(k), dim, True, None,
+                                label, negation="0")
+            return k, zero, roots, ((i, False), *sigs)
+    return k, None, roots, tuple(sigs)
 
 
-def _adjoint_roots(spec: GroupSpec, spaces: Sequence[StandardRoot],
-                   k: int) -> List[AdjointRoot]:
+def _adjoint_weights(row: FamilyParams, spaces: Sequence[StandardRoot], k: int):
     """The weights of c on g: Hom(I_a, I_b) for each ordered pair of distinct
     weight spaces. Where the form pairs I_a with I_-a, Hom(I_a, I_b) and
-    Hom(I_-b, I_-a) are one space, built from the pair that comes first."""
+    Hom(I_-b, I_-a) are one space, built from the pair that comes first.
+    Returns (weight, signature rule) pairs sorted by label; the rule is
+    ("wedge", a, None), ("tau", a, None) or ("product", a, b) over the
+    spaces, or None where the weight is not pure imaginary."""
     at = {r.label: i for i, r in enumerate(spaces)}
-    out: List[AdjointRoot] = []
+    out = []
     # the zero value is g0's: adjoint weights are nonzero and pairwise distinct
     seen = {(_zero_vec(k), _zero_vec(k))}
     # a value's negation is the reverse pair's value, which can only be
@@ -226,51 +267,91 @@ def _adjoint_roots(spec: GroupSpec, spaces: Sequence[StandardRoot],
             re, im = _sub(rb.re, ra.re), _sub(rb.im, ra.im)
             pure_im = not any(re)
             label, source = f"{ra.label}->{rb.label}", ("hom", ra.label, rb.label)
-            dim, sig = ra.dim * rb.dim, None
+            dim, rule = ra.dim * rb.dim, ("product", i, j) if pure_im else None
             if rb.label == ra.negation:
                 # maps I_a -> I_-a are (-epsilon)-symmetric forms on I_a
-                dim = wedge_dim(ra.dim, spec.epsilon)
+                dim = wedge_dim(ra.dim, row.epsilon)
                 if dim == 0:
                     continue
                 label, source = f"wedge({ra.label})", ("wedge", ra.label)
-                if pure_im:
-                    sig = _wedge_sig(ra.sig, spec.epsilon, -spec.eta_epsilon)
-            elif spec.eta is not None and ra.block_label == rb.block_label \
+                rule = ("wedge", i, None) if pure_im else None
+            elif row.eta is not None and ra.block_label == rb.block_label \
                     and (rb.re, rb.im) == (ra.re, _neg(ra.im)):
-                # tau carries I_a onto I_b, the conjugate weight's space: the
-                # symmetric versus alternating split gives signature eta * d
-                s = spec.eta * ra.dim
-                sig = Signature((dim + s) // 2, (dim - s) // 2)
-            elif pure_im:
-                if ra.sig is None or rb.sig is None:
-                    raise AssertionError("pure imaginary difference needs signed weights")
-                sig = _product_sig(ra.sig, rb.sig)
+                # tau carries I_a onto I_b, the conjugate weight's space
+                rule = ("tau", i, None)
             before = len(seen)
             seen.add((re, im))
             if len(seen) == before:
                 raise AssertionError("adjoint weights are not nonzero and pairwise distinct")
             if paired:
                 paired_values.append((re, im))
-            out.append(AdjointRoot(label, re, im, dim, pure_im, sig, source))
+            out.append((AdjointRoot(label, re, im, dim, pure_im, None, source), rule))
     for re, im in paired_values:
         if (_neg(re), _neg(im)) not in seen:
             raise AssertionError("adjoint weights are not closed under negation")
-    out.sort(key=lambda r: r.label)
+    out.sort(key=lambda pair: pair[0].label)
     return out
 
 
-def root_system(spec: GroupSpec, blocks: Sequence[Block]) -> RootSystem:
-    """Full decomposition: standard weights, adjoint weights, zero-space dim."""
-    blocks, k, standard, zero = standard_roots(spec, blocks)
-    # the zero space comes first, so its spaces keep their "0->l" labels
-    adjoint = _adjoint_roots(spec, standard if zero is None else [zero, *standard], k)
-    if spec.is_sl_like:
+def weight_geometry(family: Family, skeleton: Skeleton) -> WeightGeometry:
+    """Everything in the root system of blocks with this skeleton, in a group
+    of the family, except the signatures."""
+    row = groups.FAMILIES[family]
+    k, zero, standard, space_sigs = _standard_weights(row, skeleton)
+    adjoint = _adjoint_weights(row, _spaces(zero, standard), k)
+    if row.is_sl_like:
         dim_g0 = sum(r.dim * r.dim for r in standard) - 1
     else:
         # gl(I_l) once for each pair of weights +-l, and the forms on I_0
         d0 = zero.dim if zero is not None else 0
-        dim_g0 = wedge_dim(d0, spec.epsilon) + sum(r.dim ** 2 for r in standard) // 2
-    sys = RootSystem(spec, blocks, k, standard, zero, adjoint, dim_g0)
+        dim_g0 = wedge_dim(d0, row.epsilon) + sum(r.dim ** 2 for r in standard) // 2
+    return WeightGeometry(k, tuple(standard), zero, tuple(r for r, _ in adjoint), dim_g0,
+                          space_sigs, tuple(rule for _, rule in adjoint))
+
+
+def _adjoint_sig(spec: GroupSpec, dim: int, rule, spaces: Sequence[StandardRoot]
+                 ) -> Signature:
+    kind, a, b = rule
+    ra = spaces[a]
+    if kind == "wedge":
+        return _wedge_sig(ra.sig, spec.epsilon, -spec.eta_epsilon)
+    if kind == "tau":
+        # the symmetric versus alternating split gives signature eta * d
+        s = spec.eta * ra.dim
+        return Signature((dim + s) // 2, (dim - s) // 2)
+    rb = spaces[b]
+    if ra.sig is None or rb.sig is None:
+        raise AssertionError("pure imaginary difference needs signed weights")
+    return _product_sig(ra.sig, rb.sig)
+
+
+def _signed(spec: GroupSpec, blocks: List[Block], geo: WeightGeometry) -> RootSystem:
+    """The geometry with its signatures, the only place they are computed:
+    each pure imaginary weight space carries its block's declared signature,
+    and each adjoint weight's follows from its rule."""
+    spaces = []
+    for r, rule in zip(_spaces(geo.zero, geo.standard), geo.space_sigs):
+        if rule is not None:
+            i, flipped = rule
+            sig = blocks[i].sig
+            r = replace(r, sig=sig.flip() if flipped else sig)
+        spaces.append(r)
+    adjoint = [r if rule is None else replace(r, sig=_adjoint_sig(spec, r.dim, rule, spaces))
+               for r, rule in zip(geo.adjoint, geo.adjoint_sigs)]
+    zero, standard = (None, spaces) if geo.zero is None else (spaces[0], spaces[1:])
+    return RootSystem(spec, blocks, geo.dim_c, standard, zero, adjoint, geo.dim_g0)
+
+
+def root_system(spec: GroupSpec, blocks: Sequence[Block],
+                geometry: Callable[[Family, Skeleton], WeightGeometry] = weight_geometry
+                ) -> RootSystem:
+    """Full decomposition: standard weights, adjoint weights, zero-space dim.
+
+    The blocks are validated, signatures included, on every call; `geometry`
+    supplies the signature-free part, by default built afresh, and a sweep
+    passes its own memo of `weight_geometry`."""
+    blocks = normalize_blocks(spec, blocks)
+    sys = _signed(spec, blocks, geometry(spec.family, skeleton(blocks)))
     total, expect = sys.dim_audit()
     if total != expect:
         raise AssertionError(f"dimension audit failed: {total} != {expect}")

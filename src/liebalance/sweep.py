@@ -22,7 +22,7 @@ from .balance import is_balanced
 from .blocks import Block
 from .classify import InternalConsistencyError, classify
 from .groups import Family
-from .roots import root_system
+from .roots import root_system, weight_geometry
 from .toledo import ALL_TAGS, Decoration, Status, SurfaceData
 
 
@@ -151,15 +151,19 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     again, so each distinct balancedness instance is decided once per call:
     `decide` memoizes `is_balanced` on the frozen instance and dies with the
     call. A sweep reads only the outcome, and every certificate was verified
-    when it was made, so sharing one between runs changes no output."""
+    when it was made, so sharing one between runs changes no output. In the
+    same way `geometry` memoizes `weight_geometry` for the call: the
+    configurations that differ only in signatures share one skeleton, and
+    each root system is signed and audited afresh."""
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
     decide = functools.lru_cache(maxsize=None)(is_balanced)
+    geometry = functools.lru_cache(maxsize=None)(weight_geometry)
     for combo in _configurations(family, bound):
         blocks_ = [factory(f"b{i}") for i, (key, cost, factory) in enumerate(combo)]
         spec = bk.spec_for(family, blocks_)
-        system = root_system(spec, blocks_)
+        system = root_system(spec, blocks_, geometry)
         res.configurations += 1
         surface = SurfaceData(genus=spec.genus_bound())
         targets = _decoration_targets(system)[:MAX_DECORATIONS]

@@ -12,8 +12,9 @@ Tolerances and bounds are pinned here and nowhere else:
      rigid list with no false positives or negatives, under 10 min; the SU
      and SO* lists equal the theorem's, predicted from block kinds,
      signatures and decorations, and the SU list is closed under
-     (p,q) -> (q,p); the same holds for SU p+q<=8 and SO*(2n) 2n<=14, also
-     under 10 min;
+     (p,q) -> (q,p); the same holds for SU p+q<=8, SO*(2n) 2n<=14,
+     Sp(p,q) 2(p+q)<=10 and SO(p,q) p+q<=10, also under 10 min, where no
+     configuration has more decoration targets than the sweep enumerates;
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebalance import blocks, groups
+from liebalance import blocks, groups, sweep
 from liebalance.balance import (BalancednessInstance, is_balanced,
                                 is_balanced_bruteforce)
 from liebalance.blocks import ScenarioError
@@ -329,10 +330,24 @@ LARGER_SWEEP_COUNTS = {
 }
 
 
-def test_criterion_4_larger_sweeps_are_the_theorems(capsys):
+def test_criterion_4_larger_sweeps_are_the_theorems(capsys, monkeypatch):
+    # the most decoration targets any configuration of each sweep offers
+    most_targets = {}
+    targets_of = sweep._decoration_targets
+
+    def recorded(system):
+        targets = targets_of(system)
+        family = system.spec.family
+        most_targets[family] = max(most_targets.get(family, 0), len(targets))
+        return targets
+
+    monkeypatch.setattr(sweep, "_decoration_targets", recorded)
     t0 = time.time()
     sweeps = {key: run_sweep(*key) for key in LARGER_SWEEP_COUNTS}
     dt = time.time() - t0
+    # no configuration is cut at MAX_DECORATIONS: every target is enumerated
+    assert set(most_targets) == {family for family, _ in LARGER_SWEEP_COUNTS}
+    assert max(most_targets.values()) <= MAX_DECORATIONS, most_targets
     assert dt < 600.0, f"took {dt:.1f}s"
     for key, res in sweeps.items():
         assert res.ok, (key, res.mismatches[:4])
@@ -342,7 +357,8 @@ def test_criterion_4_larger_sweeps_are_the_theorems(capsys):
     _assert_symmetric_under_p_q_swap(sweeps[Family.SU, 8].rigid)
     _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8, SO*(2n) 2n<=14, Sp(p,q) "
                       f"2(p+q)<=10 and SO(p,q) p+q<=10 give the theorem's rigid "
-                      f"lists in {dt:.1f}s")
+                      f"lists in {dt:.1f}s, with at most "
+                      f"{max(most_targets.values())} decoration targets each")
 
 
 def test_criterion_5_certificate_soundness(capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebalance.balance import (BalancednessInstance, is_balanced,
-                                is_balanced_bruteforce)
+from liebalance.balance import (BalancednessInstance, SimplexError, _phase_one,
+                                is_balanced, is_balanced_bruteforce)
 
 
 def inst(k, ps, ns):
@@ -158,3 +158,107 @@ def test_spanning_indices_are_the_first_basis_in_p_then_n_order(case):
         first = _first_basis(ps + ns)
         assert len(first) == k
         assert cert.spanning_indices == [labels[j] for j in first]
+
+
+# -- reference: the dense phase one ------------------------------------------
+#
+# `_phase_one` updates only the pivot row's nonzero columns. The body below is
+# the earlier one, which updates every column of every row and of the cost
+# row; the two must agree on the status and on x or y, type for type.
+
+def _dense_phase_one(a_cols, b):
+    m = len(b)
+    n = len(a_cols)
+    rows = [[a_cols[j][i] for j in range(n)] for i in range(m)]
+    rhs = list(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    t = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
+         for i in range(m)]
+    basis = [n + i for i in range(m)]
+    ncols = n + m
+    cost = [-sum((t[i][j] for i in range(m)), Fraction(0)) for j in range(n)] + \
+        [Fraction(0)] * m + [-sum(rhs, Fraction(0))]
+    for _ in range(100000):
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(t[i][ncols] / t[i][enter], basis[i], i)
+                  for i in range(m) if t[i][enter] > 0]
+        if not ratios:
+            raise SimplexError("phase-one objective unbounded; impossible")
+        _, _, leave = min(ratios, key=lambda r: (r[0], r[1]))
+        piv = t[leave][enter]
+        t[leave] = [x / piv for x in t[leave]]
+        for i in range(m):
+            if i != leave and t[i][enter] != 0:
+                f = t[i][enter]
+                t[i] = [t[i][j] - f * t[leave][j] for j in range(ncols + 1)]
+        f = cost[enter]
+        cost = [cost[j] - f * t[leave][j] for j in range(ncols + 1)]
+        basis[leave] = enter
+    else:
+        raise SimplexError("simplex failed to terminate")
+    if cost[ncols] == 0:
+        x = [Fraction(0)] * n
+        for i, bv in enumerate(basis):
+            if bv < n:
+                x[bv] = t[i][ncols]
+        return "feasible", x
+    y = [(-1 if b[i] < 0 else 1) * (1 - cost[n + i]) for i in range(m)]
+    return "infeasible", y
+
+
+def _balance_lp(k, ps, ns):
+    """The phase-one problem `is_balanced` poses for these vectors."""
+    i = inst(k, ps, ns)
+    cols = list(i.p_vectors)
+    for v in i.n_vectors:
+        cols += [v, tuple(-x for x in v)]
+    return cols, tuple(-sum(v[r] for v in i.p_vectors) for r in range(k))
+
+
+def _assert_same_phase_one(cols, b):
+    # repr, so that an int 0 where the dense pass gives Fraction(0) fails too
+    assert repr(_phase_one(cols, b)) == repr(_dense_phase_one(cols, b))
+
+
+def sweep_shaped_lps():
+    """Small-integer vectors that are zero with a probability of 0 to 90%,
+    as `is_balanced` poses them and as a bare system A x = b."""
+    def of_shape(shape):
+        k, n_p, n_n, zeros = shape
+        cell = st.tuples(st.integers(0, 9), st.integers(-2, 2)).map(
+            lambda c: 0 if c[0] < zeros else c[1])
+        vec = st.lists(cell, min_size=k, max_size=k)
+        return st.tuples(st.just(k), st.lists(vec, min_size=n_p, max_size=n_p),
+                         st.lists(vec, min_size=n_n, max_size=n_n), vec)
+    return st.tuples(st.integers(1, 6), st.integers(0, 7), st.integers(0, 5),
+                     st.integers(0, 9)).flatmap(of_shape)
+
+
+@settings(max_examples=300)
+@given(sweep_shaped_lps())
+def test_phase_one_on_sweep_shaped_lps_equals_the_dense_pass(case):
+    k, ps, ns, b = case
+    _assert_same_phase_one(*_balance_lp(k, ps, ns))
+    cols = [tuple(Fraction(x) for x in v) for v in ps + ns]
+    if cols:
+        _assert_same_phase_one(cols, tuple(Fraction(x) for x in b))
+
+
+def test_phase_one_on_criterion_5_lps_equals_the_dense_pass():
+    rng = random.Random(5150)
+    statuses = set()
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        nv = rng.randint(1, 12)
+        np_count = rng.randint(0, nv)
+        vecs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+                for _ in range(nv)]
+        cols, b = _balance_lp(k, vecs[:np_count], vecs[np_count:])
+        _assert_same_phase_one(cols, b)
+        statuses.add(_phase_one(cols, b)[0])
+    assert statuses == {"feasible", "infeasible"}

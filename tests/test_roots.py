@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from random import Random
 
@@ -351,3 +352,59 @@ def test_adjoint_weights_span_exactly_when_semisimple_or_no_center():
             failing.append(spec.describe())
     # the test reaches the one family where the parts fail to span
     assert failing and set(failing) == {"SO(2,C)"}
+
+
+# -- the weight geometry: built once per skeleton, signed per system ---------
+
+# the bench `sweep` plan
+BENCH_PLAN = [(Family.SU, 6), (Family.SO, 7), (Family.SP_R, 8), (Family.SO_STAR, 10),
+              (Family.SL_R, 7), (Family.SL_H, 8), (Family.SP, 8)]
+
+
+def test_root_systems_through_one_geometry_memo_equal_fresh_ones():
+    memo = functools.lru_cache(maxsize=None)(roots.weight_geometry)
+    configurations = 0
+    for family, bound in BENCH_PLAN:
+        for combo in _configurations(family, bound):
+            bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+            spec = blocks.spec_for(family, bl)
+            assert vars(root_system(spec, bl, memo)) == vars(root_system(spec, bl)), \
+                (spec.describe(), bl)
+            configurations += 1
+    # 1441 configurations on 443 skeletons
+    assert (configurations, memo.cache_info().misses) == (1441, 443)
+
+
+def _geometries_built(*systems):
+    """How many geometries one memo builds for these (spec, blocks), after
+    checking that each signed system equals a fresh one."""
+    memo = functools.lru_cache(maxsize=None)(roots.weight_geometry)
+    for spec, bl in systems:
+        assert vars(root_system(spec, bl, memo)) == vars(root_system(spec, bl))
+    return memo.cache_info().misses
+
+
+def test_configurations_differing_only_in_signatures_share_a_geometry():
+    assert _geometries_built(
+        (groups.su(2, 1), [blocks.sesq_self(2, (1, 1), (1, 0), "a"),
+                           blocks.sesq_self(1, (1, 0), (1, 0), "b")]),
+        (groups.su(1, 2), [blocks.sesq_self(2, (1, 1), (1, 0), "a"),
+                           blocks.sesq_self(1, (0, 1), (1, 0), "b")])) == 1
+    assert _geometries_built(
+        (groups.so(4, 0), [blocks.imag_pair(1, 2, (2, 0))]),
+        (groups.so(2, 2), [blocks.imag_pair(1, 2, (1, 1))]),
+        (groups.so(0, 4), [blocks.imag_pair(1, 2, (0, 2))])) == 1
+    # the signatures differ, and so do the signed systems
+    a = root_system(groups.so(4, 0), [blocks.imag_pair(1, 2, (2, 0))])
+    b = root_system(groups.so(2, 2), [blocks.imag_pair(1, 2, (1, 1))])
+    assert [r.sig for r in a.adjoint] != [r.sig for r in b.adjoint]
+
+
+def test_dims_multiplicities_and_labels_are_part_of_the_key():
+    # the same d_eff = 2 from (dim, mult) = (2, 1) and (1, 2)
+    assert _geometries_built(
+        (groups.so(2, 2), [blocks.imag_pair(2, 1, (1, 1))]),
+        (groups.so(2, 2), [blocks.imag_pair(1, 2, (1, 1))])) == 2
+    assert _geometries_built(
+        (groups.sl_r(4), [blocks.conj_pair(2, 1, "a")]),
+        (groups.sl_r(4), [blocks.conj_pair(2, 1, "b")])) == 2
