@@ -8,7 +8,8 @@ permutes it, and the exact signature of the sesquilinear form s(v,v') =
 B(tau v, v') it inherits when that form exists. Those are the only inputs the
 classification consumes.
 
-Block kinds by family (``groups.FAMILIES`` lists them):
+Block kinds by family (``groups.FAMILIES`` lists them, and ``check_block``,
+the one home of the per-block rules, holds each block to its family):
 
 * SL_C:   ``Cls(d, r)``
 * SL_R /
@@ -23,7 +24,8 @@ Block kinds by family (``groups.FAMILIES`` lists them):
           ``QuadPair(d, r)``       dual pair moved off itself by tau: four
                                    weights +-z, +-conj z,
           ``ZeroBlock(d0, sig)``   everything on which the center acts by 0.
-* SO_C / SP_C: ``DualPair(d, r)`` and ``ZeroBlock(d0)``.
+* SO_C / SP_C: ``DualPair(d, r)`` and ``ZeroBlock(d0)``, which carries no
+          signature.
 
 For skew s (Sp(2m,R) and SO*(2m), where eta*epsilon = -1) a declared signature
 refers to the symmetric sesquilinear form i*s.
@@ -150,20 +152,25 @@ def ambient_contribution(b: Block) -> int:
     return b.dim if b.kind == "zero" else len(WEIGHTS[b.kind]) * b.d_eff
 
 
+# the pairs whose form pairs each weight space with another one, so that
+# it is split
+_FREE_PAIRS = ("sesq_pair", "split_pair", "quad_pair")
+
+
 def form_signature(blocks: Sequence[Block]) -> Tuple[int, int]:
     """(pos, neg) of the form the blocks carry: the Hermitian form of SU(p,q),
     the form on the real points of SO(p,q), or s = B(tau.,.) on the real model
-    of Sp(p,q). Only SU, SO and Sp blocks carry one."""
+    of Sp(p,q). Each weight space of a block carries the block's declared
+    signature, and a free pair carries half of each sign. Only SU, SO and Sp
+    blocks carry one."""
     pos = neg = 0
     for b in blocks:
-        if b.kind in ("sesq_self", "zero"):
-            pos, neg = pos + b.sig.pos, neg + b.sig.neg
-        elif b.kind == "imag_pair":
-            pos, neg = pos + 2 * b.sig.pos, neg + 2 * b.sig.neg
-        elif b.kind in ("sesq_pair", "split_pair"):
-            pos, neg = pos + b.d_eff, neg + b.d_eff
-        elif b.kind == "quad_pair":
-            pos, neg = pos + 2 * b.d_eff, neg + 2 * b.d_eff
+        if b.sig is not None:
+            spaces = 1 if b.kind == "zero" else len(WEIGHTS[b.kind])
+            pos, neg = pos + spaces * b.sig.pos, neg + spaces * b.sig.neg
+        elif b.kind in _FREE_PAIRS:
+            half = ambient_contribution(b) // 2
+            pos, neg = pos + half, neg + half
         else:
             raise AssertionError(f"{b.kind} blocks carry no form signature")
     return pos, neg
@@ -190,74 +197,75 @@ def spec_for(family: Family, blocks: Sequence[Block]) -> GroupSpec:
         raise ScenarioError(f"no {family.value} group fits the blocks: {exc}") from exc
 
 
-def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
-    """Validate blocks against the family and put them in canonical order."""
-    out = []
-    zeros = [b for b in blocks if b.kind == "zero"]
-    if len(zeros) > 1:
-        raise ScenarioError("give the zero weight space as a single aggregated block")
-    for b in blocks:
-        if b.kind not in groups.FAMILIES[spec.family].kinds:
-            raise ScenarioError(f"block kind {b.kind!r} is not valid for {spec.family.value}")
-        if b.dim < 1 or b.mult < 1:
-            raise ScenarioError("block dimensions and multiplicities must be >= 1")
-        out.append(b)
+# the kinds that carry a form of their own, and so declare its signature
+# (the zero block only in a real form), each with its message when it is
+# missing; every other block carries none
+_NEEDS_SIGNATURE = {"sesq_self": "SesqSelf blocks need a signature",
+                    "imag_pair": "ImagPair blocks need a signature",
+                    "zero": "zero blocks of real forms need a signature"}
 
-    total = sum(ambient_contribution(b) for b in out)
-    n = spec.ambient_dim
-    if total != n:
-        raise ScenarioError(f"blocks cover dimension {total}, ambient needs {n}")
 
-    ee = spec.eta_epsilon
-    for b in out:
-        if b.kind == "imag_pair" and b.sig is None:
-            raise ScenarioError("ImagPair blocks need a signature")
-        if b.kind == "zero" and spec.family in (Family.SO, Family.SP_R, Family.SP,
-                                                Family.SO_STAR) and b.sig is None:
-            raise ScenarioError("zero blocks of real forms need a signature")
-
-    if spec.is_quaternionic:
+def check_block(family: Family, b: Block) -> None:
+    """Raise ScenarioError unless a block of this kind, dimension and
+    signature may stand in a configuration of the family. This is the one
+    home of the per-block rules; `normalize_blocks` runs it on every block
+    and sweeps enumerate the unit blocks it accepts."""
+    row = groups.FAMILIES[family]
+    if b.kind not in row.kinds:
+        raise ScenarioError(f"block kind {b.kind!r} is not valid for {family.value}")
+    if b.dim < 1 or b.mult < 1:
+        raise ScenarioError("block dimensions and multiplicities must be >= 1")
+    signed = b.kind in _NEEDS_SIGNATURE and not (b.kind == "zero" and row.is_complex)
+    if signed and b.sig is None:
+        raise ScenarioError(_NEEDS_SIGNATURE[b.kind])
+    if b.sig is not None and not signed:
+        raise ScenarioError(f"{b.kind} blocks of {family.value} carry no signature")
+    if row.eta == -1:
         # tau-stable pieces are quaternionic subspaces, hence even-dimensional
-        for b in out:
-            if b.kind in ("real_cls", "split_pair") and b.d_eff % 2:
-                raise ScenarioError("tau-stable blocks of quaternionic forms need even dimension")
-            if b.kind == "zero" and b.dim % 2:
-                raise ScenarioError("the zero block of a quaternionic form has even dimension")
-    for b in out:
-        if b.kind == "zero" and spec.family in (Family.SP_R, Family.SP_C) and b.dim % 2:
-            raise ScenarioError("the zero block of a symplectic form has even dimension")
-
-    if ee == -1:
+        if b.kind in ("real_cls", "split_pair") and b.d_eff % 2:
+            raise ScenarioError("tau-stable blocks of quaternionic forms need even dimension")
+        if b.kind == "zero" and b.dim % 2:
+            raise ScenarioError("the zero block of a quaternionic form has even dimension")
+    if b.kind == "zero" and row.algebra == "sp" and b.dim % 2:
+        raise ScenarioError("the zero block of a symplectic form has even dimension")
+    if b.kind == "zero" and row.eta_epsilon == -1 and not b.sig.is_vanishing():
         # skew s: i*s changes sign under tau, so tau-stable pieces have
         # vanishing signature
-        for b in out:
-            if b.kind == "zero" and b.sig is not None and not b.sig.is_vanishing():
-                raise ScenarioError("for Sp(2m,R) and SO*(2m) the zero block has vanishing signature")
+        raise ScenarioError("for Sp(2m,R) and SO*(2m) the zero block has vanishing signature")
+    if b.kind == "zero" and family == Family.SP and (b.sig.pos % 2 or b.sig.neg % 2):
+        raise ScenarioError("quaternionic zero blocks have even signature parts")
 
+
+def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
+    """Validate blocks against the family and put them in canonical order."""
+    for b in blocks:
+        check_block(spec.family, b)
+    if sum(b.kind == "zero" for b in blocks) > 1:
+        raise ScenarioError("give the zero weight space as a single aggregated block")
+    total = sum(ambient_contribution(b) for b in blocks)
+    if total != spec.ambient_dim:
+        raise ScenarioError(f"blocks cover dimension {total}, ambient needs {spec.ambient_dim}")
     if spec.family == Family.SU:
-        pos, neg = form_signature(out)
+        pos, neg = form_signature(blocks)
         if (pos, neg) != (spec.p, spec.q):
             raise ScenarioError(
                 f"block signatures add up to ({pos},{neg}), the form has ({spec.p},{spec.q})")
     if spec.family == Family.SO:
-        pos, neg = form_signature(out)
+        pos, neg = form_signature(blocks)
         if (pos, neg) != (spec.p, spec.q):
             raise ScenarioError(
                 f"real points carry signature ({pos},{neg}), the form has ({spec.p},{spec.q})")
     if spec.family == Family.SP:
         # s = B(tau.,.) restricted to the real model has signature (2q, 2p)
-        pos, neg = form_signature(out)
+        pos, neg = form_signature(blocks)
         if (pos, neg) != (2 * spec.q, 2 * spec.p):
             raise ScenarioError(
                 f"s-signatures add up to ({pos},{neg}); Sp({spec.p},{spec.q}) "
                 f"needs ({2 * spec.q},{2 * spec.p})")
-        for b in out:
-            if b.kind == "zero" and (b.sig.pos % 2 or b.sig.neg % 2):
-                raise ScenarioError("quaternionic zero blocks have even signature parts")
 
-    ordered = sorted(out, key=lambda b: (_KIND_ORDER.index(b.kind), b.dim, b.mult,
-                                         (b.sig.pos, b.sig.neg) if b.sig else (-1, -1),
-                                         b.label))
+    ordered = sorted(blocks, key=lambda b: (_KIND_ORDER.index(b.kind), b.dim, b.mult,
+                                            (b.sig.pos, b.sig.neg) if b.sig else (-1, -1),
+                                            b.label))
     seen = set()
     final = []
     for i, b in enumerate(ordered):

@@ -3,7 +3,8 @@
 A scenario holds the group, the surface genus, the isotypical block data and
 the maximality decorations. Reports echo the scenario, so a report can be
 re-run; field order and rational formatting are fixed to keep outputs byte
-stable.
+stable. Reading a block checks only its own fields; whether the family
+admits it is `blocks.check_block`'s to say, when the blocks meet the group.
 """
 
 from __future__ import annotations
@@ -109,27 +110,15 @@ def block_from_json(d: Dict) -> Block:
         label = d.get("label", "")
         if not isinstance(label, str):
             raise ScenarioError(f"block label must be a string, got {label!r}")
-        if kind == "cls":
-            return bk.cls(dim, mult, label)
-        if kind == "real_cls":
-            return bk.real_cls(dim, mult, label)
-        if kind == "conj_pair":
-            return bk.conj_pair(dim, mult, label)
         if kind == "sesq_self":
             return bk.sesq_self(dim, _pair(d["class_sig"]), _pair(d["mult_sig"]), label)
-        if kind == "sesq_pair":
-            return bk.sesq_pair(dim, mult, label)
         if kind == "imag_pair":
             return bk.imag_pair(dim, mult, _pair(d["sig"]), label)
-        if kind == "split_pair":
-            return bk.split_pair(dim, mult, label)
-        if kind == "quad_pair":
-            return bk.quad_pair(dim, mult, label)
-        if kind == "dual_pair":
-            return bk.dual_pair(dim, mult, label)
         if kind == "zero":
-            sig = _pair(d["sig"]) if "sig" in d else None
-            return bk.zero_block(dim, sig, label)
+            return bk.zero_block(dim, _pair(d["sig"]) if "sig" in d else None, label)
+        # every other kind takes only dim, mult and label
+        if isinstance(kind, str) and kind in bk.WEIGHTS:
+            return Block(kind, dim, mult, label=label)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

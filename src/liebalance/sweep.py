@@ -1,12 +1,13 @@
 """Exhaustive classification sweeps.
 
-For a family and a bound on the ambient dimension, enumerate every block
-configuration (canonicalized up to permutation) and every legal assignment of
-maximality statuses, classify each, and compare the set of unbalanced
-configurations against the expected list: nothing at all except the two rigid
-shapes, which occur exactly for SU(p,q) with p != q and for SO*(2m) with m
-odd. Any excess or deficit is reported as a mismatch; every forced
-status must also carry one of the known rule tags.
+For a family and a bound on the ambient dimension, enumerate every
+configuration (canonicalized up to permutation) of the multiplicity-one
+blocks that `blocks.check_block` admits for the family, and every legal
+assignment of maximality statuses, classify each, and compare the set of
+unbalanced configurations against the expected list: nothing at all except
+the two rigid shapes, which occur exactly for SU(p,q) with p != q and for
+SO*(2m) with m odd. Any excess or deficit is reported as a mismatch; every
+forced status must also carry one of the known rule tags.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List
 
 from . import blocks as bk
 from . import groups
 from .balance import is_balanced
-from .blocks import Block
+from .blocks import Block, ScenarioError
 from .classify import InternalConsistencyError, classify
+from .exact import Signature
 from .groups import Family
 from .roots import root_system, weight_geometry
 from .toledo import ALL_TAGS, Decoration, Status, SurfaceData
@@ -42,86 +44,48 @@ class SweepResult:
         return not self.tag_violations and not self.mismatches
 
 
-def _variants(family: Family, bound: int):
-    """All unit shapes usable in a configuration of ambient dimension <= bound.
-    Each variant: (key, cost, factory) where factory(label) -> Block."""
-    out = []
-    if family in (Family.SL_R, Family.SL_H):
-        quat = family == Family.SL_H
+def _unit_blocks(family: Family, bound: int) -> List[Block]:
+    """Every multiplicity-one block of ambient dimension <= bound that
+    `blocks.check_block` accepts for the family: each kind in canonical
+    order, each dimension, and no signature or each signature (a, d - a)."""
+    if groups.FAMILIES[family].is_complex:
+        raise ValueError(f"no sweep is defined for {family.value}")
+    units = []
+    for kind in bk._KIND_ORDER:
         for d in range(1, bound + 1):
-            if quat and d % 2:
-                continue
-            out.append((("real", d), d,
-                        lambda lbl, d=d: bk.real_cls(d, 1, lbl)))
-        for d in range(1, bound // 2 + 1):
-            out.append((("pair", d), 2 * d,
-                        lambda lbl, d=d: bk.conj_pair(d, 1, lbl)))
-        return out
-    if family == Family.SU:
-        for d in range(1, bound + 1):
-            for a in range(d + 1):
-                out.append((("self", d, a), d,
-                            lambda lbl, d=d, a=a: bk.sesq_self(d, (a, d - a), (1, 0), lbl)))
-        for d in range(1, bound // 2 + 1):
-            out.append((("pair", d), 2 * d,
-                        lambda lbl, d=d: bk.sesq_pair(d, 1, lbl)))
-        return out
-    if family in (Family.SO, Family.SP_R, Family.SO_STAR, Family.SP):
-        quat = family in (Family.SO_STAR, Family.SP)
-        skew_s = family in (Family.SP_R, Family.SO_STAR)
-        for d in range(1, bound // 2 + 1):
-            for a in range(d + 1):
-                out.append((("imag", d, a), 2 * d,
-                            lambda lbl, d=d, a=a: bk.imag_pair(d, 1, (a, d - a), lbl)))
-        for d in range(1, bound // 2 + 1):
-            if quat and d % 2:
-                continue
-            out.append((("split", d), 2 * d,
-                        lambda lbl, d=d: bk.split_pair(d, 1, lbl)))
-        for d in range(1, bound // 4 + 1):
-            out.append((("quad", d), 4 * d,
-                        lambda lbl, d=d: bk.quad_pair(d, 1, lbl)))
-        for d0 in range(1, bound + 1):
-            if (quat or family == Family.SP_R) and d0 % 2:
-                continue
-            sigs: Iterable[Tuple[int, int]]
-            if skew_s:
-                sigs = [(d0 // 2, d0 // 2)]
-            elif family == Family.SP:
-                sigs = [(a, d0 - a) for a in range(0, d0 + 1, 2) if (d0 - a) % 2 == 0]
-            else:
-                sigs = [(a, d0 - a) for a in range(d0 + 1)]
-            for sig in sigs:
-                out.append((("zero", d0, sig), d0,
-                            lambda lbl, d0=d0, sig=sig: bk.zero_block(d0, sig, lbl)))
-        return out
-    raise ValueError(f"no sweep is defined for {family.value}")
-
-
-def _configurations(family: Family, bound: int):
-    """Multisets of variants whose total ambient dimension lies between the
-    family's smallest dimension and the bound."""
-    variants = _variants(family, bound)
-    least = groups.FAMILIES[family].min_dim
-    results: List[List] = []
-
-    def rec(start: int, chosen: List, total: int, zero_used: bool):
-        if total > bound:
-            return
-        if chosen and total >= least:
-            results.append(list(chosen))
-        for i in range(start, len(variants)):
-            key, cost, factory = variants[i]
-            if total + cost > bound:
-                continue
-            if key[0] == "zero":
-                if zero_used:
+            for sig in (None, *(Signature(a, d - a) for a in range(d + 1))):
+                # one copy of a sesq_self class: the multiplicity form is (1, 0)
+                unit = (bk.sesq_self(d, sig, (1, 0)) if kind == "sesq_self" and sig
+                        else Block(kind, d, sig=sig))
+                try:
+                    bk.check_block(family, unit)
+                except ScenarioError:
                     continue
-                rec(i + 1, chosen + [variants[i]], total + cost, True)
-            else:
-                rec(i, chosen + [variants[i]], total + cost, zero_used)
+                if bk.ambient_contribution(unit) <= bound:
+                    units.append(unit)
+    return units
 
-    rec(0, [], 0, False)
+
+def _configurations(family: Family, bound: int) -> List[List[Block]]:
+    """Multisets of unit blocks, at most one of them a zero block, whose total
+    ambient dimension lies between the family's smallest dimension and the
+    bound; the blocks of each are labelled b0, b1, ... in order."""
+    units = _unit_blocks(family, bound)
+    costs = [bk.ambient_contribution(b) for b in units]
+    least = groups.FAMILIES[family].min_dim
+    results: List[List[Block]] = []
+
+    def rec(start: int, chosen: List[Block], total: int):
+        if chosen and total >= least:
+            results.append([Block(b.kind, b.dim, b.mult, b.sig, b.class_sig, b.mult_sig, f"b{i}")
+                            for i, b in enumerate(chosen)])
+        for i in range(start, len(units)):
+            if total + costs[i] <= bound:
+                # the zero blocks come last, and one is the most a list takes
+                rec(len(units) if units[i].kind == "zero" else i,
+                    chosen + [units[i]], total + costs[i])
+
+    rec(0, [], 0)
     return results
 
 
@@ -160,8 +124,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     res = SweepResult(family, bound)
     decide = functools.lru_cache(maxsize=None)(is_balanced)
     geometry = functools.lru_cache(maxsize=None)(weight_geometry)
-    for combo in _configurations(family, bound):
-        blocks_ = [factory(f"b{i}") for i, (key, cost, factory) in enumerate(combo)]
+    for blocks_ in _configurations(family, bound):
         spec = bk.spec_for(family, blocks_)
         system = root_system(spec, blocks_, geometry)
         res.configurations += 1

@@ -244,8 +244,7 @@ def _predicted_rigid(family, bound):
     statuses = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
     maximal = {Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE}
     predicted = set()
-    for combo in _configurations(family, bound):
-        bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+    for bl in _configurations(family, bound):
         spec = blocks.spec_for(family, bl)
         # the sweep decorates one weight of each vanishing block
         targets = [("0" if b.kind == "zero" else

@@ -3,13 +3,21 @@
 The expected values are written out by hand from the classical tables, not
 read back from ``groups``: the ambient dimension n, the sign epsilon of the
 invariant bilinear form, the sign eta of tau^2, dim g = n^2 - 1, n(n-1)/2 or
-n(n+1)/2 over C, and doubled for the complex groups as real groups.
+n(n+1)/2 over C, and doubled for the complex groups as real groups. The
+per-block rules of `blocks.check_block` are pinned by their messages, and
+`blocks.form_signature` by the per-kind chain it replaced.
 """
+
+from random import Random
 
 import pytest
 
 from liebalance import blocks, groups
-from liebalance.blocks import ScenarioError
+from liebalance.blocks import Block, ScenarioError
+from liebalance.exact import Signature
+from liebalance.groups import Family
+from liebalance.randomgen import random_scenario
+from liebalance.sweep import _configurations
 
 KINDS_SL = {"real_cls", "conj_pair"}
 KINDS_REAL_FORM = {"imag_pair", "split_pair", "quad_pair", "zero"}
@@ -97,3 +105,76 @@ def test_so4_is_semisimple_though_not_simple():
 ], ids=lambda x: x.describe() if isinstance(x, groups.GroupSpec) else str(x))
 def test_compact_exactly_for_definite_forms(spec, compact):
     assert spec.is_compact == compact
+
+
+# -- the per-block rules: one home, today's messages ------------------------
+
+RULE_CASES = [
+    (Family.SU, blocks.real_cls(1), "block kind 'real_cls' is not valid for SU"),
+    (Family.SO, blocks.split_pair(0), "block dimensions and multiplicities must be >= 1"),
+    (Family.SO, Block("imag_pair", 1), "ImagPair blocks need a signature"),
+    (Family.SO, blocks.zero_block(1), "zero blocks of real forms need a signature"),
+    (Family.SO_C, blocks.zero_block(2, (2, 0)),
+     "zero blocks of SO_C carry no signature"),
+    (Family.SL_R, Block("real_cls", 1, sig=Signature(1, 0)), "real_cls blocks of SL_R carry no signature"),
+    (Family.SL_H, blocks.real_cls(1), "tau-stable blocks of quaternionic forms need even dimension"),
+    (Family.SP, blocks.zero_block(1, (1, 0)),
+     "the zero block of a quaternionic form has even dimension"),
+    (Family.SP_C, blocks.zero_block(1), "the zero block of a symplectic form has even dimension"),
+    (Family.SP_R, blocks.zero_block(2, (2, 0)),
+     "for Sp(2m,R) and SO*(2m) the zero block has vanishing signature"),
+    (Family.SP, blocks.zero_block(2, (1, 1)), "quaternionic zero blocks have even signature parts"),
+]
+
+
+@pytest.mark.parametrize("family,block,message", RULE_CASES,
+                         ids=[f"{family.value}-{block.kind}" for family, block, _ in RULE_CASES])
+def test_check_block_rules(family, block, message):
+    with pytest.raises(ScenarioError) as exc:
+        blocks.check_block(family, block)
+    assert str(exc.value) == message
+
+
+# -- the form signature: one rule, against the per-kind chain it replaced -----
+
+def _chain_form_signature(bl):
+    """The per-kind chain `blocks.form_signature` replaced, kept as the
+    reference."""
+    pos = neg = 0
+    for b in bl:
+        if b.kind in ("sesq_self", "zero"):
+            pos, neg = pos + b.sig.pos, neg + b.sig.neg
+        elif b.kind == "imag_pair":
+            pos, neg = pos + 2 * b.sig.pos, neg + 2 * b.sig.neg
+        elif b.kind in ("sesq_pair", "split_pair"):
+            pos, neg = pos + b.d_eff, neg + b.d_eff
+        elif b.kind == "quad_pair":
+            pos, neg = pos + 2 * b.d_eff, neg + 2 * b.d_eff
+        else:
+            raise AssertionError(f"{b.kind} blocks carry no form signature")
+    return pos, neg
+
+
+def _form_signature_cases():
+    for family, bound in [(Family.SU, 8), (Family.SO, 9), (Family.SP, 10), (Family.SP_R, 8),
+                          (Family.SO_STAR, 10)]:
+        yield from _configurations(family, bound)
+    for family in (Family.SU, Family.SO, Family.SP):
+        rng = Random(15)
+        for _ in range(500):
+            yield random_scenario(family, rng)[1]
+
+
+def test_form_signature_equals_the_per_kind_chain():
+    cases = 0
+    for bl in _form_signature_cases():
+        assert blocks.form_signature(bl) == _chain_form_signature(bl), bl
+        cases += 1
+    assert cases == 5004
+
+
+@pytest.mark.parametrize("block", [blocks.cls(1), blocks.real_cls(1), blocks.conj_pair(1),
+                                   blocks.dual_pair(1)], ids=lambda b: b.kind)
+def test_kinds_without_a_form_have_no_form_signature(block):
+    with pytest.raises(AssertionError):
+        blocks.form_signature([blocks.sesq_pair(1), block])

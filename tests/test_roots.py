@@ -330,8 +330,7 @@ SMALL_SWEEPS = [(Family.SU, 5), (Family.SO, 6), (Family.SP_R, 6), (Family.SO_STA
 
 def _systems_for_the_span_test():
     for family, bound in SMALL_SWEEPS:
-        for combo in _configurations(family, bound):
-            bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+        for bl in _configurations(family, bound):
             yield blocks.spec_for(family, bl), bl
     for family in Family:
         for s in range(30):
@@ -365,8 +364,7 @@ def test_root_systems_through_one_geometry_memo_equal_fresh_ones():
     memo = functools.lru_cache(maxsize=None)(roots.weight_geometry)
     configurations = 0
     for family, bound in BENCH_PLAN:
-        for combo in _configurations(family, bound):
-            bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+        for bl in _configurations(family, bound):
             spec = blocks.spec_for(family, bl)
             assert vars(root_system(spec, bl, memo)) == vars(root_system(spec, bl)), \
                 (spec.describe(), bl)

@@ -127,6 +127,10 @@ def test_cli_sweep(capsys):
     out = capsys.readouterr().out
     assert "matches the expected rigid list" in out
     assert main(["sweep", "NOPE", "4"]) == 3
+    # the complex groups have no sweep
+    for family in ("SL_C", "SO_C", "SP_C"):
+        assert main(["sweep", family, "4"]) == 3
+        assert "no sweep is defined" in capsys.readouterr().err
 
 
 def test_cli_verify_appendix(capsys):
@@ -158,6 +162,9 @@ def test_block_json_errors():
         sc_mod.block_from_json({"kind": "wat", "dim": 1})
     with pytest.raises(ScenarioError):
         sc_mod.block_from_json({"kind": "sesq_self", "dim": 1})
+    for kind in (["cls"], {"kind": "cls"}, 3, None):
+        with pytest.raises(ScenarioError, match="unknown block kind"):
+            sc_mod.block_from_json({"kind": kind, "dim": 1})
     with pytest.raises(ScenarioError):
         sc_mod.group_from_json({"family": "SU", "p": 1})
 
@@ -244,6 +251,22 @@ def test_cli_check_malformed_scenario_exits_3(tmp_path, capsys, path, value):
     file = tmp_path / "sc.json"
     file.write_text(json.dumps(doc))
     assert main(["check", str(file), *flags]) == 3
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("group,blocks_", [
+    ({"family": "SO_C", "n": 4}, [{"kind": "dual_pair", "dim": 1, "mult": 1},
+                                  {"kind": "zero", "dim": 2, "sig": [2, 0]}]),
+    ({"family": "SP_C", "n": 2}, [{"kind": "zero", "dim": 2, "sig": [1, 1]}]),
+], ids=["SO_C", "SP_C"])
+def test_cli_check_signed_complex_zero_block_exits_3(tmp_path, capsys, group, blocks_, oracle):
+    # the weight 0 of a complex group carries no form, so no signature
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps({"schema": "liebalance-scenario/1", "group": group,
+                                "surface": {"genus": 2}, "blocks": blocks_,
+                                "options": {"oracle": oracle}}))
+    assert main(["check", str(file)]) == 3
     assert "validation error" in capsys.readouterr().err
 
 

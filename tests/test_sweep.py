@@ -1,11 +1,14 @@
-"""The per-sweep balancedness memo and the sweep CLI's output bytes."""
+"""The per-sweep balancedness memo, the unit-block enumeration against the
+per-family one it replaced, and the sweep CLI's output bytes."""
 
 import hashlib
 import importlib
+from typing import Iterable, Tuple
 
 import pytest
 
 from liebalance import blocks, roots, sweep
+from liebalance import groups
 from liebalance.cli import main
 from liebalance.groups import Family
 
@@ -65,8 +68,7 @@ def test_each_skeleton_gets_one_geometry_per_sweep(monkeypatch):
     # no memo outlives its sweep: the second run builds every geometry again
     assert len(built) == first_built
     skeletons = set()
-    for combo in sweep._configurations(Family.SU, 5):
-        bl = [factory(f"b{i}") for i, (_, _, factory) in enumerate(combo)]
+    for bl in sweep._configurations(Family.SU, 5):
         spec = blocks.spec_for(Family.SU, bl)
         skeletons.add(roots.skeleton(blocks.normalize_blocks(spec, bl)))
     assert first_built == len(skeletons) < first.configurations
@@ -88,6 +90,118 @@ def test_memoized_sweep_equals_the_unmemoized_one(monkeypatch, family, bound):
     res = sweep.run_sweep(family, bound)
     assert vars(res) == vars(reference)
     assert res.ok
+
+
+# -- the unit blocks: one rule set, no per-family branches ------------------
+
+def _variants(family: Family, bound: int):
+    """The per-family enumeration the sweep used before it read its unit
+    blocks off `blocks.check_block`, kept as the reference. Each variant:
+    (key, cost, factory) where factory(label) -> Block."""
+    out = []
+    if family in (Family.SL_R, Family.SL_H):
+        quat = family == Family.SL_H
+        for d in range(1, bound + 1):
+            if quat and d % 2:
+                continue
+            out.append((("real", d), d,
+                        lambda lbl, d=d: blocks.real_cls(d, 1, lbl)))
+        for d in range(1, bound // 2 + 1):
+            out.append((("pair", d), 2 * d,
+                        lambda lbl, d=d: blocks.conj_pair(d, 1, lbl)))
+        return out
+    if family == Family.SU:
+        for d in range(1, bound + 1):
+            for a in range(d + 1):
+                out.append((("self", d, a), d,
+                            lambda lbl, d=d, a=a: blocks.sesq_self(d, (a, d - a), (1, 0), lbl)))
+        for d in range(1, bound // 2 + 1):
+            out.append((("pair", d), 2 * d,
+                        lambda lbl, d=d: blocks.sesq_pair(d, 1, lbl)))
+        return out
+    if family in (Family.SO, Family.SP_R, Family.SO_STAR, Family.SP):
+        quat = family in (Family.SO_STAR, Family.SP)
+        skew_s = family in (Family.SP_R, Family.SO_STAR)
+        for d in range(1, bound // 2 + 1):
+            for a in range(d + 1):
+                out.append((("imag", d, a), 2 * d,
+                            lambda lbl, d=d, a=a: blocks.imag_pair(d, 1, (a, d - a), lbl)))
+        for d in range(1, bound // 2 + 1):
+            if quat and d % 2:
+                continue
+            out.append((("split", d), 2 * d,
+                        lambda lbl, d=d: blocks.split_pair(d, 1, lbl)))
+        for d in range(1, bound // 4 + 1):
+            out.append((("quad", d), 4 * d,
+                        lambda lbl, d=d: blocks.quad_pair(d, 1, lbl)))
+        for d0 in range(1, bound + 1):
+            if (quat or family == Family.SP_R) and d0 % 2:
+                continue
+            sigs: Iterable[Tuple[int, int]]
+            if skew_s:
+                sigs = [(d0 // 2, d0 // 2)]
+            elif family == Family.SP:
+                sigs = [(a, d0 - a) for a in range(0, d0 + 1, 2) if (d0 - a) % 2 == 0]
+            else:
+                sigs = [(a, d0 - a) for a in range(d0 + 1)]
+            for sig in sigs:
+                out.append((("zero", d0, sig), d0,
+                            lambda lbl, d0=d0, sig=sig: blocks.zero_block(d0, sig, lbl)))
+        return out
+    raise ValueError(f"no sweep is defined for {family.value}")
+
+
+def _reference_configurations(family: Family, bound: int):
+    """The configurations the reference variants give, each a list of
+    (variant index, label)."""
+    variants = _variants(family, bound)
+    least = groups.FAMILIES[family].min_dim
+    results = []
+
+    def rec(start, chosen, total, zero_used):
+        if total > bound:
+            return
+        if chosen and total >= least:
+            results.append([(v, f"b{i}") for i, v in enumerate(chosen)])
+        for i in range(start, len(variants)):
+            key, cost, _ = variants[i]
+            if total + cost > bound:
+                continue
+            if key[0] == "zero":
+                if zero_used:
+                    continue
+                rec(i + 1, chosen + [i], total + cost, True)
+            else:
+                rec(i, chosen + [i], total + cost, zero_used)
+
+    rec(0, [], 0, False)
+    return results
+
+
+def _fields(b):
+    return b.kind, b.dim, b.mult, b.sig, b.class_sig, b.mult_sig
+
+
+SWEPT = [Family.SL_R, Family.SL_H, Family.SU, Family.SO, Family.SP_R, Family.SO_STAR,
+         Family.SP]
+
+
+@pytest.mark.parametrize("family", SWEPT, ids=lambda f: f.value)
+def test_unit_blocks_and_configurations_equal_the_per_family_ones(family):
+    configurations = 0
+    for bound in range(2, sweep.MAX_SWEEP_BOUND + 1):
+        reference = [_fields(factory("")) for _, _, factory in _variants(family, bound)]
+        assert [_fields(b) for b in sweep._unit_blocks(family, bound)] == reference, bound
+        expected = [[(*reference[v], label) for v, label in combo]
+                    for combo in _reference_configurations(family, bound)]
+        found = [[(*_fields(b), b.label) for b in bl]
+                 for bl in sweep._configurations(family, bound)]
+        assert found == expected, bound
+        configurations += len(found)
+    # recorded on the per-family enumeration: 227,224 in all
+    assert configurations == {
+        Family.SL_R: 4688, Family.SL_H: 796, Family.SU: 173476, Family.SO: 29687,
+        Family.SP_R: 7409, Family.SO_STAR: 4166, Family.SP: 7002}[family]
 
 
 # sha256 of `liebalance sweep <family> <bound>` standard output: SU 5 and
