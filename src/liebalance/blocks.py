@@ -242,26 +242,9 @@ def normalize_blocks(spec: GroupSpec, blocks: Sequence[Block]) -> List[Block]:
         check_block(spec.family, b)
     if sum(b.kind == "zero" for b in blocks) > 1:
         raise ScenarioError("give the zero weight space as a single aggregated block")
-    total = sum(ambient_contribution(b) for b in blocks)
-    if total != spec.ambient_dim:
-        raise ScenarioError(f"blocks cover dimension {total}, ambient needs {spec.ambient_dim}")
-    if spec.family == Family.SU:
-        pos, neg = form_signature(blocks)
-        if (pos, neg) != (spec.p, spec.q):
-            raise ScenarioError(
-                f"block signatures add up to ({pos},{neg}), the form has ({spec.p},{spec.q})")
-    if spec.family == Family.SO:
-        pos, neg = form_signature(blocks)
-        if (pos, neg) != (spec.p, spec.q):
-            raise ScenarioError(
-                f"real points carry signature ({pos},{neg}), the form has ({spec.p},{spec.q})")
-    if spec.family == Family.SP:
-        # s = B(tau.,.) restricted to the real model has signature (2q, 2p)
-        pos, neg = form_signature(blocks)
-        if (pos, neg) != (2 * spec.q, 2 * spec.p):
-            raise ScenarioError(
-                f"s-signatures add up to ({pos},{neg}); Sp({spec.p},{spec.q}) "
-                f"needs ({2 * spec.q},{2 * spec.p})")
+    filled = spec_for(spec.family, blocks)
+    if filled != spec:
+        raise ScenarioError(f"the blocks fill {filled.describe()}, not {spec.describe()}")
 
     ordered = sorted(blocks, key=lambda b: (_KIND_ORDER.index(b.kind), b.dim, b.mult,
                                             (b.sig.pos, b.sig.neg) if b.sig else (-1, -1),

@@ -6,20 +6,24 @@ reasons (compact or complex groups, the special linear families where pure
 imaginary weight spaces carry nonvanishing signature, skew ambient forms
 where doubled weights span everything, and any real form of an orthogonal or
 symplectic group with a non pure imaginary weight). Everything else runs
-through the exact convex-position test; an unbalanced outcome must match one
-of the two rigid shapes -- a maximal datum of split-unitary type inside
-SU(p,q), p != q, or the odd SO*(2m) shape -- and anything else is an internal
-consistency failure, reported loudly rather than absorbed.
+through the exact convex-position test.
+
+`rigid_shape` states the paper's theorem once: a datum is rigid exactly when
+it is maximal in S(U(p,p) x U(q-p)) inside SU(p,q), p != q, or in
+SO*(2m-2) x SO(2) inside SO*(2m), m odd. Every decision, short-circuited or
+not, is held to it in both directions: a balanced datum of rigid shape, or
+an unbalanced one of no rigid shape, is an internal consistency failure,
+reported loudly rather than absorbed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
-from .blocks import ScenarioError
+from .blocks import WEIGHTS, Block, ScenarioError
 from .groups import Family, GroupSpec
 from .roots import RootSystem
 from .toledo import (Decoration, Propagation, Status, SurfaceData,
@@ -27,7 +31,7 @@ from .toledo import (Decoration, Propagation, Status, SurfaceData,
 
 
 class InternalConsistencyError(RuntimeError):
-    """An unbalanced configuration outside the known rigid shapes."""
+    """A balancedness outcome that contradicts the rigidity theorem."""
 
 
 @dataclass
@@ -105,13 +109,8 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
 
     reason = _short_circuit(spec, system)
     if reason is not None:
-        inst = balance_instance(system, prop)
-        cert = decide(inst)
-        if not cert.balanced:
-            raise InternalConsistencyError(
-                f"{reason} configuration came out unbalanced")
-        return FlexVerdict("flexible", reason, genus_bound_ok=genus_ok,
-                           certificate=cert), prop
+        # no short-circuited group has a rigid shape, so each must balance
+        return _decide(spec, system, prop, genus_ok, decide, reason), prop
 
     std = system.standard_by_label()
     unknowns = prop.unknown_blocks(std)
@@ -142,94 +141,51 @@ def _assignments(std, unknowns: Sequence[str]):
         yield list(zip(unknowns, combo))
 
 
-def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide) -> FlexVerdict:
-    inst = balance_instance(system, prop)
-    cert = decide(inst)
+def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide,
+            reason: str = "balanced") -> FlexVerdict:
+    """Decide balancedness and hold the outcome to the theorem: unbalanced
+    exactly when the datum has a rigid shape."""
+    cert = decide(balance_instance(system, prop))
+    shape = rigid_shape(spec, system.blocks, prop.block_status)
+    if cert.balanced == (shape is not None):
+        found = f"the rigid shape {shape}" if shape else "no rigid shape"
+        raise InternalConsistencyError(
+            f"{spec.describe()} datum with {found} came out "
+            f"{'balanced' if cert.balanced else 'unbalanced'}")
     if cert.balanced:
-        return FlexVerdict("flexible", "balanced", genus_bound_ok=genus_ok,
-                           certificate=cert)
-    descriptor = _match_rigid_shape(spec, system, prop)
-    return FlexVerdict("rigid_maximal", "unbalanced", descriptor=descriptor,
+        return FlexVerdict("flexible", reason, genus_bound_ok=genus_ok, certificate=cert)
+    return FlexVerdict("rigid_maximal", "unbalanced", descriptor=shape,
                        genus_bound_ok=genus_ok, certificate=cert)
 
 
-def _maximal_sum(prop: Propagation, labels: Sequence[str]) -> bool:
-    """Whether these weights' actions sum to a maximal one (Toledo additivity)."""
-    total = toledo_direct_sum([prop.block_status[label] for label in labels]).status
-    return total in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+def rigid_shape(spec: GroupSpec, blocks: Sequence[Block],
+                block_status: Dict[str, Status]) -> Optional[str]:
+    """The rigid shape the datum has, or None: the theorem's statement, read
+    from block kinds, signatures and statuses alone.
 
-
-def _match_rigid_shape(spec: GroupSpec, system: RootSystem,
-                       prop: Propagation) -> str:
+    A datum is rigid exactly when its blocks of vanishing signature (at
+    least one) are maximal together -- Toledo values add over a direct sum,
+    so all with one sign -- and the rest is one compact factor: in SU(p,q),
+    definite SesqSelf blocks all of one sign, which makes p != q and the
+    image sit in S(U(h,h) x U(|p-q|)), h = min(p,q); in SO*(2m), m odd, a
+    single definite weight pair on a quaternionic line, so the image sits in
+    SO*(2m-2) x SO(2)."""
+    vanishing = [b for b in blocks if b.sig is not None and b.sig.is_vanishing()]
+    rest = [b for b in blocks if b.sig is None or not b.sig.is_vanishing()]
     if spec.family == Family.SU:
-        return _match_su_shape(spec, system, prop)
-    if spec.family == Family.SO_STAR:
-        return _match_so_star_shape(spec, system, prop)
-    raise InternalConsistencyError(
-        f"unbalanced configuration in {spec.describe()}, which is always balanced")
-
-
-def _match_su_shape(spec, system, prop) -> str:
-    blocks = system.blocks
-    if any(b.kind == "sesq_pair" for b in blocks):
-        raise InternalConsistencyError("unbalanced SU datum with free weight pairs")
-    definite, vanishing = [], []
-    for b in blocks:
-        if b.sig.is_definite():
-            definite.append(b)
-        elif b.sig.is_vanishing():
-            vanishing.append(b)
-        else:
-            raise InternalConsistencyError("unbalanced SU datum with an indefinite, "
-                                           "nonvanishing block")
-    if not definite or not vanishing:
-        raise InternalConsistencyError("unbalanced SU datum without the "
-                                       "definite/vanishing split")
-    signs = {b.sig.pos > 0 for b in definite}
-    if len(signs) != 1:
-        raise InternalConsistencyError("unbalanced SU datum with mixed definite signs")
-    if not _maximal_sum(prop, [f"{b.label}:il" for b in vanishing]):
-        raise InternalConsistencyError("unbalanced SU datum whose vanishing blocks "
-                                       "are not maximal with one sign")
-    half = sum(b.d_eff for b in vanishing) // 2
-    rest = sum(b.d_eff for b in definite)
-    if {spec.p, spec.q} != {half, half + rest} or spec.p == spec.q:
-        raise InternalConsistencyError("unbalanced SU datum with inconsistent shape")
-    return f"S(U({half},{half}) x U({rest}))"
-
-
-def _match_so_star_shape(spec, system, prop) -> str:
-    """The rigid SO*(2m) configurations: one definite weight pair spanning a
-    quaternionic line, everything else of vanishing signature (weight pairs
-    of even dimension and/or a zero space) and carrying maximal statuses.
-    The image then sits in SO*(2m-2) x SO(2), acting maximally on the
-    complement of the line, and m is odd automatically: the complement has
-    complex dimension 2m - 2 = 2 (mod 4) pieces of even-dimensional
-    vanishing blocks with an even-half zero space passing the tube-type
-    parity rule."""
-    blocks = system.blocks
-    if any(b.kind in ("split_pair", "quad_pair") for b in blocks):
-        raise InternalConsistencyError("unbalanced SO* datum with free weights")
-    definite = [b for b in blocks if b.kind == "imag_pair" and b.sig.is_definite()]
-    vanishing = [b for b in blocks if b.kind == "imag_pair" and b.sig.is_vanishing()]
-    zeros = [b for b in blocks if b.kind == "zero"]
-    rest = [b for b in blocks if b.kind == "imag_pair"
-            and not (b.sig.is_definite() or b.sig.is_vanishing())]
-    if rest:
-        raise InternalConsistencyError("unbalanced SO* datum with an indefinite, "
-                                       "nonvanishing weight pair")
-    if len(definite) != 1 or definite[0].d_eff != 1:
-        raise InternalConsistencyError("unbalanced SO* datum without a single "
-                                       "definite quaternionic line")
-    if not vanishing and not zeros:
-        raise InternalConsistencyError("unbalanced SO* datum with nothing maximal")
-    if any(not z.sig.is_vanishing() for z in zeros):
-        raise InternalConsistencyError("unbalanced SO* datum with nonvanishing "
-                                       "zero block")
-    labels = [f"{b.label}:+l" for b in vanishing] + (["0"] if zeros else [])
-    if not _maximal_sum(prop, labels):
-        raise InternalConsistencyError("unbalanced SO* datum whose vanishing blocks "
-                                       "are not maximal with one sign")
-    if spec.m % 2 == 0:
-        raise InternalConsistencyError("unbalanced SO*(2m) datum with even m")
-    return f"SO*({2 * spec.m - 2}) x SO(2)"
+        h = min(spec.p, spec.q)
+        shape = f"S(U({h},{h}) x U({abs(spec.p - spec.q)}))"
+        compact = (all(b.kind == "sesq_self" and b.sig.is_definite() for b in rest)
+                   and len({b.sig.pos > 0 for b in rest}) == 1)
+    elif spec.family == Family.SO_STAR and spec.m % 2:
+        shape = f"SO*({2 * spec.m - 2}) x SO(2)"
+        compact = len(rest) == 1 and rest[0].kind == "imag_pair" and rest[0].d_eff == 1
+    else:
+        return None
+    # a weight and its negation carry mirrored statuses, so the block's
+    # first weight speaks for it
+    statuses = [block_status["0" if b.kind == "zero" else f"{b.label}:{WEIGHTS[b.kind][0][0]}"]
+                for b in vanishing]
+    maximal = bool(vanishing) and toledo_direct_sum(statuses).status in (
+        Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    return shape if compact and maximal else None

@@ -1,11 +1,13 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from liebalance import blocks, groups
+from liebalance import blocks, groups, scenario
+from liebalance.balance import BalancednessCertificate
 from liebalance.blocks import ScenarioError
-from liebalance.classify import (InternalConsistencyError, _assignments,
-                                 _match_rigid_shape, classify)
+from liebalance.classify import (InternalConsistencyError, _assignments, classify,
+                                 rigid_shape)
 from liebalance.groups import Family
 from liebalance.randomgen import ALL_FAMILIES, random_scenario
 from liebalance.roots import root_system
@@ -177,30 +179,66 @@ MIXED_SIGN_DATA = [
                  blocks.sesq_self(2, (1, 1), (1, 0), label="E"),
                  blocks.sesq_self(2, (1, 1), (1, 0), label="F")],
      [Decoration("E:il", Status.MAXIMAL_POSITIVE),
-      Decoration("F:il", Status.MAXIMAL_NEGATIVE)]),
+      Decoration("F:il", Status.MAXIMAL_NEGATIVE)], "S(U(2,2) x U(1))"),
     (Family.SO_STAR, [blocks.imag_pair(1, 1, (1, 0), label="b0"),
                       blocks.imag_pair(2, 1, (1, 1), label="b1"),
                       blocks.zero_block(4, (2, 2))],
      [Decoration("b1:+l", Status.MAXIMAL_POSITIVE),
-      Decoration("0", Status.MAXIMAL_NEGATIVE)]),
+      Decoration("0", Status.MAXIMAL_NEGATIVE)], "SO*(8) x SO(2)"),
 ]
 
 
-@pytest.mark.parametrize("family,bl,decos", MIXED_SIGN_DATA, ids=["su", "so_star"])
-def test_rigid_shape_needs_one_maximal_sign(family, bl, decos):
+@pytest.mark.parametrize("family,bl,decos,descriptor", MIXED_SIGN_DATA,
+                         ids=["su", "so_star"])
+def test_rigid_shape_needs_one_maximal_sign(family, bl, decos, descriptor):
     """Toledo values add over a direct sum, so vanishing blocks of opposite
-    maximal signs are not maximal together: an unbalanced verdict on them
-    is a fault, not a rigid shape."""
+    maximal signs are not maximal together: the datum has no rigid shape,
+    and it is flexible. With one sign it has the shape."""
     spec = blocks.spec_for(family, bl)
     system = root_system(spec, bl)
-    prop = propagate_constraints(spec, system, decos)
-    with pytest.raises(InternalConsistencyError, match="one sign"):
-        _match_rigid_shape(spec, system, prop)
+
+    def shape(decorations):
+        prop = propagate_constraints(spec, system, decorations)
+        return rigid_shape(spec, system.blocks, prop.block_status)
+
+    assert shape(decos) is None
     same_sign = [Decoration(d.target, Status.MAXIMAL_POSITIVE) for d in decos]
-    assert _match_rigid_shape(spec, system,
-                              propagate_constraints(spec, system, same_sign))
+    assert shape(same_sign) == descriptor
     verdict, _ = run(spec, bl, decos)
     assert verdict.flexible
+    verdict, _ = run(spec, bl, same_sign)
+    assert verdict.outcome == "rigid_maximal" and verdict.descriptor == descriptor
+
+
+def _classify_with(sc, answer):
+    """Classify a scenario with a `decide` that gives the same answer on
+    every instance."""
+    system = root_system(sc.spec, sc.blocks)
+    return classify(sc.spec, sc.surface, system, sc.decorations,
+                    lambda inst: BalancednessCertificate(answer))
+
+
+def test_a_balanced_rigid_shape_raises():
+    sc = scenario.load(str(Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+                           / "su23_rigid.json"))
+    assert _classify_with(sc, False)[0].descriptor == "S(U(2,2) x U(1))"
+    with pytest.raises(InternalConsistencyError,
+                       match=r"the rigid shape S\(U\(2,2\) x U\(1\)\) came out balanced"):
+        _classify_with(sc, True)
+
+
+@pytest.mark.parametrize("spec,bl,decos,reason", [
+    (groups.so(4, 2), [blocks.imag_pair(1, 1, (1, 0)), blocks.zero_block(4, (2, 2))],
+     [Decoration("0", Status.MAXIMAL_POSITIVE)], "balanced"),
+    (groups.sp_r(4), [blocks.imag_pair(1, 1, (1, 0)), blocks.zero_block(2, (1, 1))],
+     [Decoration("0", Status.MAXIMAL_POSITIVE)], "skew_ambient_form"),
+], ids=["so", "sp_r_short_circuit"])
+def test_an_unbalanced_flexible_datum_raises(spec, bl, decos, reason):
+    sc = scenario.Scenario(spec, SurfaceData(genus=spec.genus_bound()), bl, decos)
+    verdict, _ = _classify_with(sc, True)
+    assert verdict.flexible and verdict.reason == reason
+    with pytest.raises(InternalConsistencyError, match="no rigid shape came out unbalanced"):
+        _classify_with(sc, False)
 
 
 def _as_rows(prop):

@@ -270,6 +270,33 @@ def test_cli_check_signed_complex_zero_block_exits_3(tmp_path, capsys, group, bl
     assert "validation error" in capsys.readouterr().err
 
 
+def _signed(kind, dim, sig):
+    return {"kind": kind, "dim": dim, "mult": 1, "sig": sig}
+
+
+@pytest.mark.parametrize("group,blocks_,message", [
+    ({"family": "SU", "p": 1, "q": 2},
+     [{"kind": "sesq_self", "dim": 1, "class_sig": [1, 0], "mult_sig": [1, 0]},
+      {"kind": "sesq_self", "dim": 2, "class_sig": [2, 0], "mult_sig": [1, 0]}],
+     "the blocks fill SU(3,0), not SU(1,2)"),
+    ({"family": "SO", "p": 3, "q": 1},
+     [_signed("imag_pair", 1, [1, 0]), _signed("zero", 2, [0, 2])],
+     "the blocks fill SO(2,2), not SO(3,1)"),
+    # s = B(tau.,.) on the real model of Sp(p,q) has signature (2q, 2p)
+    ({"family": "SP", "p": 1, "q": 1},
+     [_signed("imag_pair", 1, [1, 0]), _signed("imag_pair", 1, [1, 0])],
+     "the blocks fill Sp(0,2), not Sp(1,1)"),
+], ids=["SU", "SO", "SP"])
+def test_cli_check_form_signature_mismatch_exits_3(tmp_path, capsys, group, blocks_, message):
+    # block rules run when the root system is built, not in from_json
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps({"schema": "liebalance-scenario/1", "group": group,
+                                "surface": {"genus": 2}, "blocks": blocks_}))
+    assert main(["check", str(file)]) == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+
+
 def test_group_json_round_trips_every_family():
     rng = random.Random(3)
     for fam in ALL_FAMILIES:
@@ -327,11 +354,18 @@ def test_cli_check_unreadable_file_exits_3(tmp_path):
 FIELD_NAMES = ["family", "n", "m", "p", "q", "genus", "kind", "dim", "mult", "sig",
                "class_sig", "mult_sig", "label", "target", "status", "toledo_quanta",
                "oracle", "tolerance", "seed", "cap"]
+
+
+def _json_containers(inner):
+    # a named function: hypothesis cannot read a lambda split over lines,
+    # and warns that it does not recurse
+    return st.lists(inner, max_size=3) | \
+        st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=3)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) |
-    st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
+    _json_containers, max_leaves=6)
 
 
 def _paths(value, prefix=()):

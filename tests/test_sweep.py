@@ -1,5 +1,6 @@
 """The per-sweep balancedness memo, the unit-block enumeration against the
-per-family one it replaced, and the sweep CLI's output bytes."""
+per-family one it replaced, the sweep CLI's output bytes, and a sweep's
+check of every decision against the rigidity theorem."""
 
 import hashlib
 import importlib
@@ -225,3 +226,23 @@ def test_cli_sweep_json_bytes(capsys, family, bound):
     assert main(["sweep", family, str(bound)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_JSON_DIGESTS[family, bound]
+
+
+def test_sweeps_catch_a_wrong_statement_of_the_theorem(monkeypatch, capsys):
+    """A sweep holds every decision to `classify.rigid_shape` both ways: with
+    no rigid shape anywhere the SU rigid data are unbalanced outside it, and
+    with a rigid shape on every SO* datum the flexible ones contradict it."""
+    monkeypatch.setattr(classify_mod, "rigid_shape", lambda spec, bl, status: None)
+    res = sweep.run_sweep(Family.SU, 4)
+    assert res.mismatches and not res.ok
+    assert all("no rigid shape came out unbalanced" in m for m in res.mismatches)
+    assert main(["sweep", "SU", "4"]) == 4
+    capsys.readouterr()
+
+    def everywhere(spec, bl, status):
+        return "SO*(x) x SO(2)" if spec.family == Family.SO_STAR else None
+
+    monkeypatch.setattr(classify_mod, "rigid_shape", everywhere)
+    res = sweep.run_sweep(Family.SO_STAR, 6)
+    assert res.mismatches and not res.ok
+    assert any("came out balanced" in m for m in res.mismatches)
