@@ -12,13 +12,14 @@ from liebalance.classify import classify
 from liebalance.roots import root_system
 from liebalance.sweep import run_sweep, summary_table
 from liebalance.groups import Family
-from liebalance.toledo import Decoration, Status, SurfaceData
+from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
 
 
 def run(spec, data, decos=()):
     system = root_system(spec, data)
     surface = SurfaceData(genus=spec.genus_bound())
-    verdict, _ = classify(spec, surface, system, list(decos))
+    prop = propagate_constraints(spec, system, list(decos), surface)
+    verdict = classify(spec, surface, system, prop)
     out = verdict.outcome + (f" ({verdict.descriptor})" if verdict.descriptor else "")
     return out + f"   [{verdict.reason}]"
 

@@ -14,10 +14,11 @@ says how far each accepted quantity sits from its tolerance.
 import random
 
 from liebalance import blocks, groups
+from liebalance.groups import Family
 from liebalance.oracle import (CLUSTER_TOL, EXACT_TOL, GRAM_TOL, SIGMA_TOL,
                                brute_force_roots, compare_reports,
                                synthesize_model)
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.randomgen import random_scenario
 from liebalance.roots import root_system
 
 spec = groups.so_star(6)
@@ -58,7 +59,7 @@ print()
 print("Randomized agreement across all ten families")
 print("--------------------------------------------")
 rng = random.Random(7)
-for fam in ALL_FAMILIES:
+for fam in Family:
     spec, data = random_scenario(fam, rng)
     system = root_system(spec, data)
     model = synthesize_model(system)

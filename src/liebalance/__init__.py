@@ -21,7 +21,7 @@ from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
 from .blocks import (Block, ScenarioError, cls, conj_pair, dual_pair, imag_pair,
                      quad_pair, real_cls, sesq_pair, sesq_self, split_pair,
                      zero_block)
-from .classify import FlexVerdict, InternalConsistencyError, classify
+from .classify import FlexVerdict, InternalConsistencyError
 from .exact import GaussianRational, Quaternion, Signature, signature_of
 from .groups import (Family, GroupSpec, sl_c, sl_h, sl_r, so, so_c, so_star,
                      sp, sp_c, sp_r, su)
@@ -33,7 +33,7 @@ __all__ = [
     "BalancednessCertificate", "BalancednessInstance", "is_balanced",
     "Block", "ScenarioError", "cls", "conj_pair", "dual_pair", "imag_pair",
     "quad_pair", "real_cls", "sesq_pair", "sesq_self", "split_pair", "zero_block",
-    "FlexVerdict", "InternalConsistencyError", "classify",
+    "FlexVerdict", "InternalConsistencyError",
     "GaussianRational", "Quaternion", "Signature", "signature_of",
     "Family", "GroupSpec", "sl_c", "sl_h", "sl_r", "so", "so_c", "so_star",
     "sp", "sp_c", "sp_r", "su",

@@ -224,8 +224,7 @@ def is_balanced(inst: BalancednessInstance) -> BalancednessCertificate:
 
 
 def _orthogonal_functional(rows: List[List[Fraction]], k: int) -> Vec:
-    basis = linalg.frac_nullspace(rows, k) if rows else \
-        [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    basis = linalg.frac_nullspace(rows, k)
     if not basis:
         raise AssertionError("rank-deficient system with trivial orthogonal complement")
     return tuple(basis[0])
@@ -248,8 +247,7 @@ def is_balanced_bruteforce(inst: BalancednessInstance) -> bool:
     if not vecs or linalg.frac_rank(vecs) < k:
         return False
     nrows = [list(v) for v in inst.n_vectors if not _is_zero(v)]
-    wbasis = linalg.frac_nullspace(nrows, k) if nrows else \
-        [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    wbasis = linalg.frac_nullspace(nrows, k)
     kp = len(wbasis)
     if kp == 0:
         return True  # N spans everything

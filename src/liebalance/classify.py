@@ -6,7 +6,8 @@ reasons (compact or complex groups, the special linear families where pure
 imaginary weight spaces carry nonvanishing signature, skew ambient forms
 where doubled weights span everything, and any real form of an orthogonal or
 symplectic group with a non pure imaginary weight). Everything else runs
-through the exact convex-position test.
+through the exact convex-position test. Statuses are set in one way:
+`classify` substitutes each assignment of those its propagation leaves unknown.
 
 `rigid_shape` states the paper's theorem once: a datum is rigid exactly when
 it is maximal in S(U(p,p) x U(q-p)) inside SU(p,q), p != q, or in
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
 from .blocks import WEIGHTS, Block, ScenarioError
 from .groups import Family, GroupSpec
 from .roots import RootSystem
-from .toledo import (Decoration, Propagation, Status, SurfaceData,
-                     propagate_constraints, toledo_direct_sum)
+from .toledo import Propagation, Status, SurfaceData, toledo_direct_sum
 
 
 class InternalConsistencyError(RuntimeError):
@@ -91,13 +91,12 @@ Decide = Callable[[BalancednessInstance], BalancednessCertificate]
 
 
 def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
-             decorations: Sequence[Decoration],
-             decide: Optional[Decide] = None) -> Tuple[FlexVerdict, Propagation]:
-    """Run constraint propagation and decide the verdict. Every balancedness
-    instance goes to `decide`, by default `is_balanced` as bound in this
-    module when called; a sweep passes its own memo of it."""
+             prop: Propagation, decide: Optional[Decide] = None) -> FlexVerdict:
+    """Decide the verdict of a propagation. Statuses it leaves unknown are
+    enumerated and substituted into it. Every balancedness instance goes to
+    `decide`, by default `is_balanced` as bound in this module when called; a
+    sweep passes its own memo of it."""
     decide = decide or is_balanced
-    prop = propagate_constraints(spec, system, decorations, surface)
     genus_ok = surface.genus_bound_ok(spec)
 
     # a nonzero X in c that every adjoint weight kills is central in g, so
@@ -110,35 +109,33 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
     reason = _short_circuit(spec, system)
     if reason is not None:
         # no short-circuited group has a rigid shape, so each must balance
-        return _decide(spec, system, prop, genus_ok, decide, reason), prop
+        return _decide(spec, system, prop, genus_ok, decide, reason)
 
-    std = system.standard_by_label()
-    unknowns = prop.unknown_blocks(std)
+    unknowns = prop.unknown_blocks()
     if not unknowns:
-        return _decide(spec, system, prop, genus_ok, decide), prop
+        return _decide(spec, system, prop, genus_ok, decide)
     if len(unknowns) > MAX_UNKNOWN_ENUMERATION:
         return FlexVerdict("indeterminate", "too_many_unknowns",
-                           genus_bound_ok=genus_ok, unknown=unknowns), prop
+                           genus_bound_ok=genus_ok, unknown=unknowns)
 
-    outcomes = [_decide(spec, system, prop.substituted(spec, std, assignment), genus_ok,
-                        decide)
-                for assignment in _assignments(std, unknowns)]
+    outcomes = [_decide(spec, system, prop.substituted(assignment), genus_ok, decide)
+                for assignment in assignments(prop.std, unknowns)]
     if all(o.outcome == "flexible" for o in outcomes):
         return FlexVerdict("flexible", "balanced_under_all_assignments",
-                           genus_bound_ok=genus_ok,
-                           certificate=outcomes[0].certificate), prop
+                           genus_bound_ok=genus_ok, certificate=outcomes[0].certificate)
     return FlexVerdict("indeterminate", "undetermined_maximality",
-                       genus_bound_ok=genus_ok, unknown=unknowns), prop
+                       genus_bound_ok=genus_ok, unknown=unknowns)
 
 
-def _assignments(std, unknowns: Sequence[str]):
-    """Every legal list of (label, status) over the unknown weights: maximal
-    only where the signature vanishes, all non-maximal first."""
+def assignments(std, labels: Sequence[str]):
+    """Every legal list of (label, status) over the labelled standard
+    weights: maximal only where the signature vanishes, all non-maximal
+    first."""
     choices = [(Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
                if std[label].sig.is_vanishing() else (Status.NON_MAXIMAL,)
-               for label in unknowns]
+               for label in labels]
     for combo in itertools.product(*choices):
-        yield list(zip(unknowns, combo))
+        yield list(zip(labels, combo))
 
 
 def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide,

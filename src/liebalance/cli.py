@@ -26,7 +26,7 @@ from .blocks import ScenarioError
 from .classify import InternalConsistencyError
 from .groups import Family
 from .oracle import OracleError, oracle_check
-from .randomgen import ALL_FAMILIES, random_scenario
+from .randomgen import random_scenario
 from .sweep import run_sweep, summary_table
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def _cmd_oracle(args) -> int:
     rng = random.Random(args.seed)
     failures = []
     total = 0
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(args.instances):
             spec, blocks = random_scenario(fam, rng, cap=opts.cap)
             total += 1

@@ -169,6 +169,3 @@ def _one_part(rng: random.Random, room: int) -> Tuple[int, int]:
     r = rng.randint(1, max(1, min(2, room // d)))
     return d, r
 
-
-ALL_FAMILIES = [Family.SL_R, Family.SL_C, Family.SL_H, Family.SU, Family.SO,
-                Family.SP_R, Family.SP, Family.SO_STAR, Family.SO_C, Family.SP_C]

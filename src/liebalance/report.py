@@ -15,7 +15,7 @@ from .groups import GroupSpec
 from .oracle import brute_force_roots, compare_reports, synthesize_model
 from .roots import RootSystem, root_system
 from .scenario import Scenario
-from .toledo import Propagation
+from .toledo import Propagation, propagate_constraints
 
 
 def _frac(x: Fraction) -> str:
@@ -81,7 +81,8 @@ def run_scenario(sc: Scenario) -> RunResult:
     if factors != dim_c:
         raise InternalConsistencyError(
             f"factor centers sum to {factors} but the center has dimension {dim_c}")
-    verdict, prop = classify(sc.spec, sc.surface, system, sc.decorations)
+    prop = propagate_constraints(sc.spec, system, sc.decorations, sc.surface)
+    verdict = classify(sc.spec, sc.surface, system, prop)
     oracle_problems = None
     if sc.options.oracle:
         fm = synthesize_model(system, sc.options.cap)

@@ -133,10 +133,6 @@ class WeightGeometry:
 def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):
     """Basis of the solution space of the relations; returns the raw x k
     matrix A whose columns form the basis, as rows of length k."""
-    if not relations:
-        a = [[Fraction(1) if i == j else Fraction(0) for j in range(raw_dim)]
-             for i in range(raw_dim)]
-        return a, raw_dim
     basis = linalg.frac_nullspace(relations, raw_dim)
     k = len(basis)
     a = [[basis[c][i] for c in range(k)] for i in range(raw_dim)]

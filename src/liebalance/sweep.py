@@ -3,18 +3,18 @@
 For a family and a bound on the ambient dimension, enumerate every
 configuration (canonicalized up to permutation) of the multiplicity-one
 blocks that `blocks.check_block` admits for the family, and every legal
-assignment of maximality statuses, and classify each. `classify` holds every
-decision to `classify.rigid_shape`, the theorem's statement, in both
-directions, and raises on a contradiction: the sweep records each raise as a
-mismatch, so an unbalanced datum of no rigid shape and a balanced one of
-rigid shape both show up. Every forced status must also carry one of the
-known rule tags.
+assignment of maximality statuses, and classify each. Statuses are set in
+one way: each assignment is substituted into the configuration's one
+propagation. `classify` holds every decision to `classify.rigid_shape`, the
+theorem's statement, in both directions, and raises on a contradiction: the
+sweep records each raise as a mismatch, so an unbalanced datum of no rigid
+shape and a balanced one of rigid shape both show up. Every forced status
+must also carry one of the known rule tags.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -22,11 +22,11 @@ from . import blocks as bk
 from . import groups
 from .balance import is_balanced
 from .blocks import Block, ScenarioError
-from .classify import InternalConsistencyError, classify
+from .classify import InternalConsistencyError, assignments, classify
 from .exact import Signature
 from .groups import Family
 from .roots import root_system, weight_geometry
-from .toledo import ALL_TAGS, Decoration, Status, SurfaceData
+from .toledo import ALL_TAGS, SurfaceData, propagate_constraints
 
 
 @dataclass
@@ -130,24 +130,24 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
         system = root_system(spec, blocks_, geometry)
         res.configurations += 1
         surface = SurfaceData(genus=spec.genus_bound())
+        base = propagate_constraints(spec, system, [])
+        for rule in base.rules:
+            if rule.forced_tag is not None and rule.forced_tag not in ALL_TAGS:
+                res.tag_violations.append(
+                    f"{spec.describe()}/{rule.root.label}: tag {rule.forced_tag}")
+            if rule.forced_tag is None and rule.derived_from is None \
+                    and rule.root.pure_imaginary:
+                res.tag_violations.append(
+                    f"{spec.describe()}/{rule.root.label}: untagged forcing")
         targets = _decoration_targets(system)[:MAX_DECORATIONS]
-        statuses = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
-        for assignment in itertools.product(statuses, repeat=len(targets)):
-            decos = [Decoration(t, s) for t, s in zip(targets, assignment)]
+        for assignment in assignments(base.std, targets):
             try:
-                verdict, prop = classify(spec, surface, system, decos, decide)
+                verdict = classify(spec, surface, system, base.substituted(assignment),
+                                   decide)
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue
             res.runs += 1
-            for pr in prop.adjoint:
-                if pr.forced_tag is not None and pr.forced_tag not in ALL_TAGS:
-                    res.tag_violations.append(
-                        f"{spec.describe()}/{pr.root.label}: tag {pr.forced_tag}")
-                if pr.status == Status.NON_MAXIMAL and pr.forced_tag is None \
-                        and pr.derived_from is None and pr.root.pure_imaginary:
-                    res.tag_violations.append(
-                        f"{spec.describe()}/{pr.root.label}: untagged forcing")
             if verdict.outcome == "flexible":
                 res.flexible += 1
             elif verdict.outcome == "rigid_maximal":
@@ -155,7 +155,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
                     "group": spec.describe(),
                     "descriptor": verdict.descriptor,
                     "blocks": [bk_desc(b) for b in system.blocks],
-                    "decorations": [f"{d.target}={d.status.value}" for d in decos],
+                    "decorations": [f"{t}={s.value}" for t, s in assignment],
                 })
             else:
                 res.mismatches.append(

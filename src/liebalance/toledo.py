@@ -22,11 +22,12 @@ the module does enforce is everything that restricts such statuses:
 These rules read only the group and the root system, so each adjoint weight
 gets one ``WeightRule``: a forced status with its machine-readable rule tag
 (audited by the sweeps), or the block weight whose status it reads, flipped
-or not. Decorations then set block statuses, and every adjoint status is
-read through its rule; ``Propagation.substituted`` re-reads them for each
-status assignment ``classify`` enumerates. An explicit ``unknown`` sets no
-status: the weight counts as undecorated, and a Toledo value on it still
-meets the Milnor-Wood check.
+as the arithmetic laws above flip it. Statuses are set in one way:
+``Propagation.substituted`` sets block statuses, each with its mirror on -l,
+and reads every adjoint status again through its rule. Decorations, the
+unknowns ``classify`` enumerates and a sweep's assignments are all
+substituted. An explicit ``unknown`` sets no status: the weight counts as
+undecorated, and a Toledo value on it still meets the Milnor-Wood check.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .blocks import ScenarioError
 from .groups import Family, GroupSpec
-from .roots import AdjointRoot, RootSystem
+from .roots import AdjointRoot, RootSystem, StandardRoot
 
 
 class Status(enum.Enum):
@@ -169,6 +170,10 @@ class PropagatedRoot(WeightRule):
 
 @dataclass
 class Propagation:
+    """The standard weights' statuses and every adjoint status read from them
+    through its rule."""
+    spec: GroupSpec
+    std: Dict[str, StandardRoot]
     block_status: Dict[str, Status]
     rules: List[WeightRule]
     adjoint: List[PropagatedRoot] = field(init=False)
@@ -177,31 +182,47 @@ class Propagation:
         self.adjoint = [PropagatedRoot(**vars(r), status=r.read(self.block_status))
                         for r in self.rules]
 
-    def unknown_blocks(self, std) -> List[str]:
+    def mirrored(self, label: str, status: Status) -> List[Tuple[str, Status]]:
+        """(label, status), and the mirror status on the opposite weight -l
+        when that is another weight.
+
+        The antilinear structure identifies I_{-l} with the conjugate of I_l,
+        so Toledo values negate; with the i*s dressing used when s is skew
+        (eta*epsilon = -1) the two sign flips cancel and the dressed status is
+        carried over unchanged. The observable symmetry -- opposite adjoint
+        weights carry opposite statuses -- holds either way.
+        """
+        negation = self.std[label].negation
+        if not negation or negation == label:
+            return [(label, status)]
+        return [(label, status),
+                (negation, status if self.spec.eta_epsilon == -1 else status.flip())]
+
+    def unknown_blocks(self) -> List[str]:
         """Block weights whose unknown status some adjoint weight still reads,
         one per pair +-l: a status on one weight sets its negation."""
         labels = sorted({p.derived_from for p in self.adjoint
                          if p.derived_from is not None
                          and self.block_status[p.derived_from] == Status.UNKNOWN})
         return [label for i, label in enumerate(labels)
-                if std[label].negation not in labels[:i]]
+                if self.std[label].negation not in labels[:i]]
 
-    def substituted(self, spec: GroupSpec, std, assignment) -> "Propagation":
+    def substituted(self, assignment: Iterable[Tuple[str, Status]]) -> "Propagation":
         """This propagation with each (label, status) of ``assignment`` set on
-        that block weight and its negation, as a decoration sets them; the
-        adjoint statuses are read again through the same rules."""
+        that block weight and its mirror on the negation; the adjoint statuses
+        are read again through the same rules."""
         block_status = dict(self.block_status)
         for label, status in assignment:
-            block_status.update(_mirrored(spec, std, label, status))
-        return Propagation(block_status, self.rules)
+            block_status.update(self.mirrored(label, status))
+        return Propagation(self.spec, self.std, block_status, self.rules)
 
 
 def propagate_constraints(spec: GroupSpec, system: RootSystem,
                           decorations: Sequence[Decoration],
                           surface: Optional[SurfaceData] = None) -> Propagation:
-    """Build every adjoint weight's rule once, set the block weights' statuses
-    from the decorations, and read each adjoint status through its rule. A
-    pure function of the inputs, hence idempotent."""
+    """Build every adjoint weight's rule once, turn each decoration into the
+    one status setting it asks for, and substitute those settings. A pure
+    function of the inputs, hence idempotent."""
     std = system.standard_by_label()
     rules = {root.label: _rule(spec, std, root)
              for root in sorted(system.adjoint, key=lambda r: r.label)}
@@ -211,19 +232,24 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
     block_status = {label: Status.UNKNOWN if r.pure_imaginary and r.sig is not None
                     and not r.sig.is_definite() else Status.NON_MAXIMAL
                     for label, r in std.items()}
+    base = Propagation(spec, std, block_status, list(rules.values()))
 
-    explicit: set = set()
+    settings = []
+    set_by: Dict[str, Tuple[str, Status]] = {}
     declared_value: Dict[str, Fraction] = {}
     for deco in decorations:
-        if deco.target in std:
-            _apply_standard_decoration(spec, std, block_status, declared_value,
-                                       deco, explicit)
-        elif deco.target in rules:
-            # adjoint-level decorations are sugar for the block they reference
-            _apply_adjoint_decoration(spec, std, block_status, rules[deco.target],
-                                      deco, explicit)
-        else:
-            raise ScenarioError(f"decoration target {deco.target!r} is not a weight label")
+        setting = _setting(std, rules, deco)
+        if deco.value is not None and deco.target in std:
+            declared_value[deco.target] = deco.value
+        if setting is None:
+            continue
+        # a weight another decoration set to something else is a conflict
+        for label, status in base.mirrored(*setting):
+            if label in set_by and set_by[label][1] != status:
+                raise ScenarioError(f"decoration on {deco.target} conflicts with "
+                                    f"another decoration on {set_by[label][0]}")
+            set_by[label] = (deco.target, status)
+        settings.append(setting)
 
     if surface is not None:
         for label, v in declared_value.items():
@@ -234,69 +260,39 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
                     raise ScenarioError(
                         f"Toledo value {v} on {label} exceeds the Milnor-Wood bound {bound}")
 
-    return Propagation(block_status, list(rules.values()))
+    return base.substituted(settings)
 
 
-def _mirrored(spec, std, label, status):
-    """(label, status), and the mirror status on the opposite weight -l when
-    that is another weight.
-
-    The antilinear structure identifies I_{-l} with the conjugate of I_l, so
-    Toledo values negate; with the i*s dressing used when s is skew
-    (eta*epsilon = -1) the two sign flips cancel and the dressed status is
-    carried over unchanged. The observable symmetry -- opposite adjoint
-    weights carry opposite statuses -- holds either way.
-    """
-    r = std[label]
-    settings = [(label, status)]
-    if r.negation and r.negation != label:
-        settings.append((r.negation, status if spec.eta_epsilon == -1 else status.flip()))
-    return settings
-
-
-def _set_status(spec, std, block_status, explicit, label, status, target):
-    """Set a standard weight's status and its negation's mirror, as the
-    decoration on ``target`` asks. Either one already set by another
-    decoration to something else is a conflict. An explicit unknown sets
-    nothing: the weight counts as undecorated."""
-    if status == Status.UNKNOWN:
-        return
-    settings = _mirrored(spec, std, label, status)
-    for lbl, st in settings:
-        if lbl in explicit and block_status[lbl] != st:
-            raise ScenarioError(
-                f"decoration on {target} conflicts with another decoration on {lbl}")
-    for lbl, st in settings:
-        block_status[lbl] = st
-        explicit.add(lbl)
-
-
-def _apply_standard_decoration(spec, std, block_status, declared_value, deco, explicit):
-    r = std[deco.target]
-    if deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
-        if not r.pure_imaginary or r.sig is None:
+def _setting(std, rules: Dict[str, WeightRule],
+             deco: Decoration) -> Optional[Tuple[str, Status]]:
+    """The checked (standard weight, status) a decoration sets, or None: an
+    explicit unknown, or a non-maximal status on a forced weight, sets none."""
+    maximal = deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    if deco.target in std:
+        r = std[deco.target]
+        if maximal and (not r.pure_imaginary or r.sig is None):
             raise ScenarioError(
                 f"{deco.target} carries no sesquilinear structure to be maximal for")
-        if not r.sig.is_vanishing():
+        if maximal and not r.sig.is_vanishing():
             raise ScenarioError(
                 f"maximal status on {deco.target} needs vanishing signature "
                 f"({TAG_VANISHING}); it has {r.sig}")
-    _set_status(spec, std, block_status, explicit, deco.target, deco.status, deco.target)
-    if deco.value is not None:
-        declared_value[deco.target] = deco.value
-
-
-def _apply_adjoint_decoration(spec, std, block_status, rule: WeightRule, deco, explicit):
-    label = rule.root.label
-    if rule.forced_tag is not None:
-        if deco.status in (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE):
-            raise ScenarioError(
-                f"decoration on {label} contradicts a forced status ({rule.forced_tag})")
-        return
-    if rule.derived_from is None:
-        raise ScenarioError(f"adjoint weight {label} accepts no decoration")
-    want = deco.status.flip() if rule.flipped else deco.status
-    _set_status(spec, std, block_status, explicit, rule.derived_from, want, label)
+        label, status = deco.target, deco.status
+    elif deco.target in rules:
+        # adjoint-level decorations are sugar for the block they reference
+        rule = rules[deco.target]
+        if rule.forced_tag is not None:
+            if maximal:
+                raise ScenarioError(f"decoration on {deco.target} contradicts a "
+                                    f"forced status ({rule.forced_tag})")
+            return None
+        if rule.derived_from is None:
+            raise ScenarioError(f"adjoint weight {deco.target} accepts no decoration")
+        label = rule.derived_from
+        status = deco.status.flip() if rule.flipped else deco.status
+    else:
+        raise ScenarioError(f"decoration target {deco.target!r} is not a weight label")
+    return None if status == Status.UNKNOWN else (label, status)
 
 
 def _rule(spec, std, root: AdjointRoot) -> WeightRule:

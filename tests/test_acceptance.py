@@ -42,7 +42,7 @@ from liebalance.blocks import ScenarioError
 from liebalance.exact import GaussianRational, ZERO, signature_of
 from liebalance.groups import Family
 from liebalance.oracle import oracle_check, synthesize_model, brute_force_roots
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.randomgen import random_scenario
 from liebalance.roots import root_system
 from liebalance.sweep import MAX_DECORATIONS, _configurations, bk_desc, run_sweep
 from liebalance.appendix import verify_appendix_embeddings
@@ -129,7 +129,7 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
     rng = random.Random(20240817)
     per_family = 100
     total = 0
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(per_family):
             spec, bl = random_scenario(fam, rng, cap=12)
             problems = oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6),
@@ -145,7 +145,7 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
     # re-check explicitly here
     rng2 = random.Random(7)
     audited = 0
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(5):
             spec, bl = random_scenario(fam, rng2, cap=12)
             sysr = root_system(spec, bl)

@@ -1,3 +1,4 @@
+import inspect
 import random
 from pathlib import Path
 
@@ -6,10 +7,10 @@ import pytest
 from liebalance import blocks, groups, scenario
 from liebalance.balance import BalancednessCertificate
 from liebalance.blocks import ScenarioError
-from liebalance.classify import (InternalConsistencyError, _assignments, classify,
+from liebalance.classify import (InternalConsistencyError, assignments, classify,
                                  rigid_shape)
 from liebalance.groups import Family
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.randomgen import random_scenario
 from liebalance.roots import root_system
 from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
 
@@ -17,8 +18,16 @@ from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constra
 def run(spec, bl, decos=()):
     sys = root_system(spec, bl)
     surf = SurfaceData(genus=max(2, spec.genus_bound()))
-    verdict, prop = classify(spec, surf, sys, list(decos))
-    return verdict, prop
+    prop = propagate_constraints(spec, sys, list(decos), surf)
+    return classify(spec, surf, sys, prop), prop
+
+
+def test_the_package_exports_the_classify_module():
+    import liebalance
+    from liebalance import classify as classify_mod
+
+    assert inspect.ismodule(liebalance.classify) and classify_mod.classify is classify
+    assert "classify" not in liebalance.__all__
 
 
 def test_special_linear_families_flexible():
@@ -135,12 +144,9 @@ def test_genus_bound_flag():
     bl = [blocks.sesq_self(1, (0, 1), (1, 0), label="D"),
           blocks.sesq_self(2, (1, 1), (2, 0), label="E")]
     sys = root_system(spec, bl)
-    verdict, _ = classify(spec, SurfaceData(genus=2), sys,
-                          [Decoration("E:il", Status.NON_MAXIMAL)])
-    assert not verdict.genus_bound_ok
-    verdict, _ = classify(spec, SurfaceData(genus=spec.genus_bound()), sys,
-                          [Decoration("E:il", Status.NON_MAXIMAL)])
-    assert verdict.genus_bound_ok
+    prop = propagate_constraints(spec, sys, [Decoration("E:il", Status.NON_MAXIMAL)])
+    assert not classify(spec, SurfaceData(genus=2), sys, prop).genus_bound_ok
+    assert classify(spec, SurfaceData(genus=spec.genus_bound()), sys, prop).genus_bound_ok
 
 
 def test_certificates_attached_and_verified():
@@ -161,7 +167,7 @@ def test_abelian_so2c_builds_but_does_not_classify():
     sys = root_system(spec, [blocks.dual_pair(1)])
     assert sys.adjoint == [] and sys.dim_c == 2 and not spec.is_semisimple
     with pytest.raises(ScenarioError, match="adjoint weights do not span"):
-        classify(spec, SurfaceData(genus=2), sys, [])
+        classify(spec, SurfaceData(genus=2), sys, propagate_constraints(spec, sys, []))
     v, _ = run(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)])
     assert v.flexible and v.reason == "complex_group"
 
@@ -214,14 +220,15 @@ def _classify_with(sc, answer):
     """Classify a scenario with a `decide` that gives the same answer on
     every instance."""
     system = root_system(sc.spec, sc.blocks)
-    return classify(sc.spec, sc.surface, system, sc.decorations,
+    prop = propagate_constraints(sc.spec, system, sc.decorations, sc.surface)
+    return classify(sc.spec, sc.surface, system, prop,
                     lambda inst: BalancednessCertificate(answer))
 
 
 def test_a_balanced_rigid_shape_raises():
     sc = scenario.load(str(Path(__file__).resolve().parents[1] / "demos" / "scenarios"
                            / "su23_rigid.json"))
-    assert _classify_with(sc, False)[0].descriptor == "S(U(2,2) x U(1))"
+    assert _classify_with(sc, False).descriptor == "S(U(2,2) x U(1))"
     with pytest.raises(InternalConsistencyError,
                        match=r"the rigid shape S\(U\(2,2\) x U\(1\)\) came out balanced"):
         _classify_with(sc, True)
@@ -235,7 +242,7 @@ def test_a_balanced_rigid_shape_raises():
 ], ids=["so", "sp_r_short_circuit"])
 def test_an_unbalanced_flexible_datum_raises(spec, bl, decos, reason):
     sc = scenario.Scenario(spec, SurfaceData(genus=spec.genus_bound()), bl, decos)
-    verdict, _ = _classify_with(sc, True)
+    verdict = _classify_with(sc, True)
     assert verdict.flexible and verdict.reason == reason
     with pytest.raises(InternalConsistencyError, match="no rigid shape came out unbalanced"):
         _classify_with(sc, False)
@@ -252,26 +259,25 @@ def test_substituted_statuses_equal_a_fresh_propagation():
     rng = random.Random(2024)
     statuses = list(Status)
     substituted = 0
-    for family in ALL_FAMILIES:
+    for family in Family:
         for _ in range(25):
             spec, bl = random_scenario(family, rng, 10)
             system = root_system(spec, bl)
-            std = system.standard_by_label()
             decos = []
-            for label, r in std.items():
+            for label, r in system.standard_by_label().items():
                 if r.negation in (d.target for d in decos) or rng.random() < 0.5:
                     continue
                 vanishing = r.pure_imaginary and r.sig is not None and r.sig.is_vanishing()
                 decos.append(Decoration(label, rng.choice(
                     statuses if vanishing else [Status.NON_MAXIMAL, Status.UNKNOWN])))
             prop = propagate_constraints(spec, system, decos)
-            unknowns = prop.unknown_blocks(std)
+            unknowns = prop.unknown_blocks()
             if len(unknowns) > 4:
                 continue
-            for assignment in _assignments(std, unknowns):
+            for assignment in assignments(prop.std, unknowns):
                 fresh = propagate_constraints(
                     spec, system, decos + [Decoration(l, s) for l, s in assignment])
-                assert _as_rows(prop.substituted(spec, std, assignment)) == \
+                assert _as_rows(prop.substituted(assignment)) == \
                     _as_rows(fresh), (spec.describe(), decos, assignment)
                 substituted += 1
     assert substituted > 200, substituted

@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from liebalance import report, scenario
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.groups import Family
+from liebalance.randomgen import random_scenario
 from liebalance.scenario import Options, Scenario
 from liebalance.toledo import SurfaceData
 
@@ -53,7 +54,7 @@ def all_digests():
     return {
         "demos": {p.name: demo_digest(p) for p in DEMO_SCENARIOS},
         "random": {fam.value: [random_digest(fam, s) for s in SEEDS]
-                   for fam in ALL_FAMILIES},
+                   for fam in Family},
     }
 
 
@@ -65,7 +66,7 @@ def test_demo_report_digest(path):
     assert demo_digest(path) == GOLDEN["demos"][path.name]
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES, ids=[f.name for f in ALL_FAMILIES])
+@pytest.mark.parametrize("family", Family, ids=[f.name for f in Family])
 def test_random_report_digests(family):
     assert [random_digest(family, s) for s in SEEDS] == GOLDEN["random"][family.value]
 

@@ -42,6 +42,14 @@ def test_rank_plus_nullity_is_the_column_count(a):
         assert all(x.is_zero() for x in linalg.mat_vec(a, v))
 
 
+def test_the_null_space_of_no_relations_is_the_identity():
+    # callers read the whole space off an empty system this way
+    for k in range(5):
+        basis = linalg.frac_nullspace([], k)
+        assert basis == [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        assert all(type(x) is Fraction for row in basis for x in row)
+
+
 # -- reference: the dense elimination ----------------------------------------
 #
 # `linalg.rref` updates only the pivot row's nonzero columns. The body below

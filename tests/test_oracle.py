@@ -14,7 +14,7 @@ from liebalance.modelbuild import Mat, MatrixModel, build_model
 from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
                                _ad_matrices, _algebra_basis, brute_force_roots,
                                compare_reports, oracle_check, synthesize_model)
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.randomgen import random_scenario
 from liebalance.roots import AdjointRoot, root_system
 from liebalance.report import run_scenario
 from liebalance.scenario import Options, Scenario, load
@@ -61,7 +61,7 @@ def test_compact_model_definite_weight_spaces():
 
 def test_dims_always_sum():
     rng = random.Random(4)
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         spec, bl = random_scenario(fam, rng)
         sys = root_system(spec, bl)
         fm = synthesize_model(sys)
@@ -79,14 +79,14 @@ def test_sigma_equivariance_reported():
 
 def test_oracle_agrees_across_families():
     rng = random.Random(99)
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(3):
             spec, bl = random_scenario(fam, rng)
             assert oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6)) == []
 
 
 def test_random_scenario_rejects_a_cap_below_the_family_minimum():
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         least = groups.FAMILIES[fam].min_dim
         rng = random.Random(0)
         state = rng.getstate()
@@ -242,7 +242,7 @@ def test_sl_r_dim2_hom_block_killing_matrix():
 
 def test_model_realizes_declared_weight_signatures():
     rng = random.Random(12)
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         spec, bl = random_scenario(fam, rng)
         sys = root_system(spec, bl)
         build_model(spec, sys)  # raises if any declared signature is off
@@ -372,7 +372,7 @@ def _reference_roots(fm, tol=1e-9, seed=0):
 
 def test_eigh_pipeline_matches_loop_and_svd_reference():
     rng = random.Random(2024)
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(5):
             spec, bl = random_scenario(fam, rng)
             sys = root_system(spec, bl)
@@ -461,7 +461,7 @@ def _flipped_table(kind, w, part, j):
 def _scenarios_with(kind, per_family=3):
     """Per family that admits the kind, the first seeded draws that use it."""
     out = []
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         if kind not in groups.FAMILIES[fam].kinds:
             continue
         draws = (random_scenario(fam, random.Random(s), cap=8) for s in range(200))

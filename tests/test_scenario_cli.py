@@ -13,7 +13,7 @@ from liebalance import scenario as sc_mod
 from liebalance.blocks import ScenarioError
 from liebalance.cli import main
 from liebalance.groups import Family
-from liebalance.randomgen import ALL_FAMILIES, random_scenario
+from liebalance.randomgen import random_scenario
 from liebalance.roots import root_system
 
 
@@ -83,7 +83,7 @@ def test_center_dim_crosscheck_runs():
         (groups.sl_r(5), [blocks.conj_pair(1, 2), blocks.real_cls(1, 1)]),
     ]
     cases += [random_scenario(family, random.Random(s), cap=12)
-              for family in ALL_FAMILIES for s in range(20)]
+              for family in Family for s in range(20)]
     for spec, bl in cases:
         system = root_system(spec, bl)
         total, dim_c = report_mod.center_dim_crosscheck(spec, system)
@@ -299,7 +299,7 @@ def test_cli_check_form_signature_mismatch_exits_3(tmp_path, capsys, group, bloc
 
 def test_group_json_round_trips_every_family():
     rng = random.Random(3)
-    for fam in ALL_FAMILIES:
+    for fam in Family:
         for _ in range(5):
             spec, _ = random_scenario(fam, rng)
             assert sc_mod.group_from_json(sc_mod.group_to_json(spec)) == spec

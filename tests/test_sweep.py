@@ -3,18 +3,17 @@ per-family one it replaced, the sweep CLI's output bytes, and a sweep's
 check of every decision against the rigidity theorem."""
 
 import hashlib
-import importlib
+import itertools
 from typing import Iterable, Tuple
 
 import pytest
 
 from liebalance import blocks, roots, sweep
+from liebalance import classify as classify_mod
 from liebalance import groups
 from liebalance.cli import main
 from liebalance.groups import Family
-
-# the package exports the function `classify` under the module's name
-classify_mod = importlib.import_module("liebalance.classify")
+from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
 
 
 def _counting(monkeypatch):
@@ -79,8 +78,8 @@ def _unmemoized(monkeypatch, family, bound):
     """The sweep with classify deciding every instance afresh."""
     with monkeypatch.context() as m:
         m.setattr(sweep, "classify",
-                  lambda spec, surface, system, decos, decide:
-                  classify_mod.classify(spec, surface, system, decos))
+                  lambda spec, surface, system, prop, decide:
+                  classify_mod.classify(spec, surface, system, prop))
         return sweep.run_sweep(family, bound)
 
 
@@ -91,6 +90,43 @@ def test_memoized_sweep_equals_the_unmemoized_one(monkeypatch, family, bound):
     res = sweep.run_sweep(family, bound)
     assert vars(res) == vars(reference)
     assert res.ok
+
+
+def _rows(prop):
+    return prop.block_status, [(p.root.label, p.status) for p in prop.adjoint]
+
+
+@pytest.mark.parametrize("family,bound", [(Family.SU, 5), (Family.SO_STAR, 8)])
+def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
+    """Each run of a sweep substitutes its assignment into the configuration's
+    one propagation. It reaches the verdict, and the statuses, that
+    propagating the assignment as decorations and classifying give."""
+    reached = []
+
+    def recorded(spec, surface, system, prop, decide):
+        verdict = classify_mod.classify(spec, surface, system, prop, decide)
+        reached.append((spec.describe(), _rows(prop), verdict))
+        return verdict
+
+    monkeypatch.setattr(sweep, "classify", recorded)
+    res = sweep.run_sweep(family, bound)
+    reference, rigid = [], []
+    statuses = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    for bl in sweep._configurations(family, bound):
+        spec = blocks.spec_for(family, bl)
+        system = roots.root_system(spec, bl)
+        surface = SurfaceData(genus=spec.genus_bound())
+        targets = sweep._decoration_targets(system)[:sweep.MAX_DECORATIONS]
+        for combo in itertools.product(statuses, repeat=len(targets)):
+            decos = [Decoration(t, st) for t, st in zip(targets, combo)]
+            prop = propagate_constraints(spec, system, decos, surface)
+            verdict = classify_mod.classify(spec, surface, system, prop)
+            reference.append((spec.describe(), _rows(prop), verdict))
+            if verdict.outcome == "rigid_maximal":
+                rigid.append([f"{d.target}={d.status.value}" for d in decos])
+    assert len(reached) == len(reference) == res.runs
+    assert reached == reference
+    assert [r["decorations"] for r in res.rigid] == rigid and rigid
 
 
 # -- the unit blocks: one rule set, no per-family branches ------------------

@@ -251,3 +251,116 @@ def test_adjoint_decoration_agrees_with_its_standard_weight(tmp_path, capsys,
             on_standard = status.flip() if w["derived_flipped"] else status
             assert check([{"target": w["label"], "status": status.value}]) == \
                 check([{"target": w["derived_from"], "status": on_standard.value}])
+
+
+def _so42_pairs():
+    spec = groups.so(4, 2)
+    return spec, root_system(spec, [blocks.imag_pair(1, 1, (1, 0), label="a"),
+                                    blocks.imag_pair(2, 1, (1, 1), label="b")])
+
+
+def test_mirror_conflict_names_both_decorations():
+    """In SO(p,q) the status on -l is the conjugate of the one on +l, so both
+    maximal positive is a conflict, reported with both targets."""
+    spec, sys = _so42_pairs()
+    assert spec.eta_epsilon == 1
+    with pytest.raises(ScenarioError,
+                       match="decoration on b:-l conflicts with another decoration on b:\\+l"):
+        propagate_constraints(spec, sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
+                                          Decoration("b:-l", Status.MAXIMAL_POSITIVE)])
+    # the conjugate status on -l is the mirror itself, not a conflict
+    prop = propagate_constraints(spec, sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
+                                             Decoration("b:-l", Status.MAXIMAL_NEGATIVE)])
+    assert prop.block_status["b:-l"] == Status.MAXIMAL_NEGATIVE
+
+
+def test_the_same_setting_twice_is_accepted():
+    spec, sys = _su_rigid_system()
+    once = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
+    twice = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)] * 2)
+    assert twice == once
+    # through the adjoint weight that reads E:il flipped, the same setting again
+    via_adjoint = propagate_constraints(spec, sys, [
+        Decoration("E:il", Status.MAXIMAL_POSITIVE),
+        Decoration("D:il->E:il", Status.MAXIMAL_NEGATIVE)])
+    assert via_adjoint == once
+
+
+def test_an_explicit_unknown_never_overrides():
+    spec, sys = _so42_pairs()
+    for target in ("b:+l", "b:-l"):
+        prop = propagate_constraints(spec, sys, [
+            Decoration("b:+l", Status.MAXIMAL_POSITIVE), Decoration(target, Status.UNKNOWN)])
+        assert prop.block_status["b:+l"] == Status.MAXIMAL_POSITIVE
+        assert prop.block_status["b:-l"] == Status.MAXIMAL_NEGATIVE
+    undecorated = propagate_constraints(spec, sys, [])
+    assert propagate_constraints(spec, sys, [Decoration("b:+l", Status.UNKNOWN)]) == undecorated
+    assert undecorated.block_status["b:+l"] == Status.UNKNOWN
+
+
+def test_an_adjoint_decoration_conflicting_with_a_standard_one_raises():
+    spec, sys = _su_rigid_system()
+    for decos in ([Decoration("E:il", Status.MAXIMAL_POSITIVE),
+                   Decoration("D:il->E:il", Status.MAXIMAL_POSITIVE)],
+                  [Decoration("D:il->E:il", Status.NON_MAXIMAL),
+                   Decoration("E:il", Status.MAXIMAL_NEGATIVE)]):
+        with pytest.raises(ScenarioError,
+                           match=f"decoration on {decos[1].target} conflicts with "
+                                 f"another decoration on {decos[0].target}"):
+            propagate_constraints(spec, sys, decos)
+
+
+def _law_status(std, prop, root):
+    """The status of the adjoint weight on Hom(I_a, I_b) by the Toledo laws:
+    Hom with a definite side is Hom with a unitary representation, which keeps
+    the other side's Toledo data, conjugated when the definite side is the
+    source with a negative form or the target with a positive one."""
+    _, a, b = root.source
+    definite, other, conjugated = (
+        (std[a], b, std[a].sig.pos == 0)
+        if std[a].sig is not None and std[a].sig.is_definite()
+        else (std[b], a, std[b].sig.pos > 0))
+    t = toledo_hom_with_unitary(definite.dim, ToledoData(prop.block_status[other]))
+    return (toledo_conjugate(t) if conjugated else t).status
+
+
+def test_propagation_follows_the_toledo_laws():
+    """Every derived adjoint status, and every status on -l, is what the
+    Toledo arithmetic laws make of the status it reads: the rules restate
+    `toledo_conjugate` and `toledo_hom_with_unitary` and nothing else."""
+    import random
+
+    from liebalance.groups import Family
+    from liebalance.randomgen import random_scenario
+
+    rng = random.Random(11)
+    maximal = (Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    conjugated = kept = 0
+    for family in Family:
+        for _ in range(100):
+            spec, bl = random_scenario(family, rng, 10)
+            system = root_system(spec, bl)
+            std = system.standard_by_label()
+            decos = [Decoration(label, rng.choice(maximal + (Status.NON_MAXIMAL,)))
+                     for label, r in std.items()
+                     if r.pure_imaginary and r.sig is not None and r.sig.is_vanishing()
+                     and label <= (r.negation or label) and rng.random() < 0.7]
+            prop = propagate_constraints(spec, system, decos)
+            for label, r in std.items():
+                s = prop.block_status[label]
+                if r.negation and r.negation != label:
+                    mirror = s if spec.eta_epsilon == -1 else \
+                        toledo_conjugate(ToledoData(s)).status
+                    assert prop.block_status[r.negation] == mirror, (spec.describe(), label)
+            for p in prop.adjoint:
+                if p.derived_from is None:
+                    continue
+                assert p.derived_from in p.root.source[1:]
+                assert p.status == _law_status(std, prop, p.root), \
+                    (spec.describe(), p.root.label)
+                if p.status in maximal:
+                    if p.status != prop.block_status[p.derived_from]:
+                        conjugated += 1
+                    else:
+                        kept += 1
+    assert conjugated >= 20 and kept >= 20, (conjugated, kept)
