@@ -14,11 +14,17 @@ phi with phi(N) = 0, phi >= 0 on P when not (such a phi confines
 conv(P) + span(N) to a half space through 0, so 0 cannot be interior).
 Feasibility is decided by an exact phase-one simplex with Bland's rule; an
 independent brute-force decision over support sets backs it in the tests.
+
+The verdict depends only on the cone of P and the span of N: scaling a vector
+of P by a positive number, one of N by any nonzero number, repeating a vector
+or adding a zero vector changes neither. `canonical_key` reduces an instance
+to the smallest one with the same verdict, as integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -26,6 +32,9 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 
 Vec = Tuple[Fraction, ...]
+IntVec = Tuple[int, ...]
+# ambient dimension, then the distinct P and N directions, sorted
+CanonicalKey = Tuple[int, Tuple[IntVec, ...], Tuple[IntVec, ...]]
 
 
 def _vec(v) -> Vec:
@@ -103,6 +112,31 @@ class BalancednessCertificate:
             if _dot(self.functional, v) < 0:
                 return False
         return True
+
+
+def _primitive(v: Vec) -> Optional[IntVec]:
+    """The primitive integer vector on the ray through v; None for zero."""
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g else None
+
+
+def canonical_key(inst: BalancednessInstance) -> CanonicalKey:
+    """The instance with zero vectors dropped, every vector scaled to its
+    primitive integer vector, each N vector's first nonzero entry made
+    positive, and duplicates dropped, P and N sorted. Its verdict is the
+    instance's, and `BalancednessInstance.make(*key)` builds it."""
+    ps, ns = set(), set()
+    for v in inst.p_vectors:
+        w = _primitive(v)
+        if w is not None:
+            ps.add(w)
+    for v in inst.n_vectors:
+        w = _primitive(v)
+        if w is not None:
+            ns.add(w if next(x for x in w if x) > 0 else tuple(-x for x in w))
+    return inst.ambient_dim, tuple(sorted(ps)), tuple(sorted(ns))
 
 
 class SimplexError(RuntimeError):
@@ -203,7 +237,10 @@ def is_balanced(inst: BalancednessInstance) -> BalancednessCertificate:
         cols.append(v)
         cols.append(tuple(-x for x in v))
     b = tuple(-sum(v[i] for v in inst.p_vectors) for i in range(k))
-    status, payload = _phase_one(cols, b)
+    # with b = 0 every right-hand side stays 0 under the pivots, so phase
+    # one can only end feasible at x = 0
+    status, payload = (("feasible", [Fraction(0)] * len(cols)) if _is_zero(b)
+                       else _phase_one(cols, b))
     np = len(inst.p_vectors)
     if status == "feasible":
         x = payload

@@ -87,16 +87,22 @@ def _short_circuit(spec: GroupSpec, system: RootSystem) -> Optional[str]:
     return None
 
 
-Decide = Callable[[BalancednessInstance], BalancednessCertificate]
+Decide = Callable[[RootSystem, Propagation], BalancednessCertificate]
+
+
+def decide_afresh(system: RootSystem, prop: Propagation) -> BalancednessCertificate:
+    """The certificate of the propagation's own balancedness instance, from
+    `is_balanced` as bound in this module when called."""
+    return is_balanced(balance_instance(system, prop))
 
 
 def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
              prop: Propagation, decide: Optional[Decide] = None) -> FlexVerdict:
     """Decide the verdict of a propagation. Statuses it leaves unknown are
-    enumerated and substituted into it. Every balancedness instance goes to
-    `decide`, by default `is_balanced` as bound in this module when called; a
-    sweep passes its own memo of it."""
-    decide = decide or is_balanced
+    enumerated and substituted into it. Every balancedness question goes to
+    `decide(system, prop)`, by default `decide_afresh`; a sweep passes its
+    own memo, which reads only the certificate's outcome."""
+    decide = decide or decide_afresh
     genus_ok = surface.genus_bound_ok(spec)
 
     # a nonzero X in c that every adjoint weight kills is central in g, so
@@ -142,7 +148,7 @@ def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide,
             reason: str = "balanced") -> FlexVerdict:
     """Decide balancedness and hold the outcome to the theorem: unbalanced
     exactly when the datum has a rigid shape."""
-    cert = decide(balance_instance(system, prop))
+    cert = decide(system, prop)
     shape = rigid_shape(spec, system.blocks, prop.block_status)
     if cert.balanced == (shape is not None):
         found = f"the rigid shape {shape}" if shape else "no rigid shape"

@@ -20,12 +20,13 @@ from typing import Dict, List
 
 from . import blocks as bk
 from . import groups
-from .balance import is_balanced
+from .balance import (BalancednessCertificate, BalancednessInstance, CanonicalKey,
+                      canonical_key, is_balanced)
 from .blocks import Block, ScenarioError
-from .classify import InternalConsistencyError, assignments, classify
+from .classify import InternalConsistencyError, assignments, balance_instance, classify
 from .exact import Signature
 from .groups import Family
-from .roots import root_system, weight_geometry
+from .roots import root_system, skeleton, weight_geometry
 from .toledo import ALL_TAGS, SurfaceData, propagate_constraints
 
 
@@ -112,18 +113,35 @@ MAX_DECORATIONS = 6
 def run_sweep(family: Family, bound: int) -> SweepResult:
     """Classify every decorated configuration of the family up to the bound.
 
-    The configurations of one sweep land on the same coordinates again and
-    again, so each distinct balancedness instance is decided once per call:
-    `decide` memoizes `is_balanced` on the frozen instance and dies with the
-    call. A sweep reads only the outcome, and every certificate was verified
-    when it was made, so sharing one between runs changes no output. In the
-    same way `geometry` memoizes `weight_geometry` for the call: the
+    The configurations of one sweep ask the same balancedness questions again
+    and again, so two memos that die with the call decide each once. The
+    first is keyed by the blocks' skeleton and the adjoint statuses, which
+    fix every vector `balance_instance` reads: a hit builds no instance. On a
+    miss the instance is reduced to its `canonical_key`, in integers, and
+    only a new key builds its canonical instance for `is_balanced`. So a
+    sweep's certificates belong to canonical instances, not to the runs'
+    own, and the sweep reads only their outcomes: every certificate was
+    verified when it was made, so sharing one changes no output. In the same
+    way `geometry` memoizes `weight_geometry` for the call: the
     configurations that differ only in signatures share one skeleton, and
     each root system is signed and audited afresh."""
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
-    decide = functools.lru_cache(maxsize=None)(is_balanced)
+    by_statuses: Dict[tuple, BalancednessCertificate] = {}
+    by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
+
+    def decide(system, prop) -> BalancednessCertificate:
+        statuses = (skeleton(system.blocks), tuple(p.status for p in prop.adjoint))
+        cert = by_statuses.get(statuses)
+        if cert is None:
+            key = canonical_key(balance_instance(system, prop))
+            cert = by_key.get(key)
+            if cert is None:
+                cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
+            by_statuses[statuses] = cert
+        return cert
+
     geometry = functools.lru_cache(maxsize=None)(weight_geometry)
     for blocks_ in _configurations(family, bound):
         spec = bk.spec_for(family, blocks_)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebalance.balance import (BalancednessInstance, SimplexError, _phase_one,
-                                is_balanced, is_balanced_bruteforce)
+                                canonical_key, is_balanced, is_balanced_bruteforce)
 
 
 def inst(k, ps, ns):
@@ -262,3 +263,66 @@ def test_phase_one_on_criterion_5_lps_equals_the_dense_pass():
         _assert_same_phase_one(cols, b)
         statuses.add(_phase_one(cols, b)[0])
     assert statuses == {"feasible", "infeasible"}
+
+
+@settings(max_examples=300)
+@given(sweep_shaped_lps())
+def test_phase_one_with_a_zero_right_hand_side_ends_at_zero(case):
+    """With b = 0 the dense phase one ends feasible at exactly x = 0, which
+    `is_balanced` takes without pivoting when the P vectors sum to 0."""
+    k, ps, ns, _ = case
+    cols = [tuple(Fraction(x) for x in v) for v in ps + ns]
+    zero = (Fraction(0),) * k
+    if cols:
+        assert repr(_dense_phase_one(cols, zero)) == repr(("feasible", [Fraction(0)] * len(cols)))
+    if ps:
+        ps = ps + [[-sum(c) for c in zip(*ps)]]
+    cols, b = _balance_lp(k, ps, ns)
+    assert b == zero
+    x = [Fraction(0)] * len(cols)
+    if cols:
+        assert repr(_dense_phase_one(cols, zero)) == repr(("feasible", x))
+    cert = is_balanced(inst(k, ps, ns))
+    if cert.balanced:
+        assert cert.coefficients == [1] * len(ps) and cert.n_coefficients == [0] * len(ns)
+
+
+# -- the canonical instance ---------------------------------------------------
+
+positive_fraction = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+
+
+def _rescaled(data, vectors, signs):
+    """Each vector once or twice, each copy scaled by a positive fraction
+    times one of ``signs``."""
+    out = []
+    for v in vectors:
+        for _ in range(data.draw(st.integers(1, 2))):
+            c = data.draw(positive_fraction) * data.draw(st.sampled_from(signs))
+            out.append([c * x for x in v])
+    return out
+
+
+@settings(max_examples=300)
+@given(instances(), st.data())
+def test_canonical_key_keeps_the_verdict_and_forgets_scale_repeats_order_and_zeros(case, data):
+    k, ps, ns = case
+    original = inst(k, ps, ns)
+    key = canonical_key(original)
+    zeros = [[0] * k] * data.draw(st.integers(0, 2))
+    ps2 = data.draw(st.permutations(_rescaled(data, ps, (1,)) + zeros))
+    ns2 = data.draw(st.permutations(_rescaled(data, ns, (1, -1)) + zeros))
+    variant = inst(k, ps2, ns2)
+    assert canonical_key(variant) == key
+    verdict = is_balanced(original).balanced
+    assert is_balanced(variant).balanced == verdict == is_balanced_bruteforce(original)
+
+    _, kp, kn = key
+    assert list(kp) == sorted(set(kp)) and list(kn) == sorted(set(kn))
+    for v in kp + kn:
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+    assert all(next(x for x in v if x) > 0 for v in kn)
+    canonical = BalancednessInstance.make(*key)
+    assert canonical_key(canonical) == key
+    cert = is_balanced(canonical)
+    assert cert.balanced == verdict and cert.verify(canonical)

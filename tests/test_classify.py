@@ -222,7 +222,7 @@ def _classify_with(sc, answer):
     system = root_system(sc.spec, sc.blocks)
     prop = propagate_constraints(sc.spec, system, sc.decorations, sc.surface)
     return classify(sc.spec, sc.surface, system, prop,
-                    lambda inst: BalancednessCertificate(answer))
+                    lambda system, prop: BalancednessCertificate(answer))
 
 
 def test_a_balanced_rigid_shape_raises():

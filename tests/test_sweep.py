@@ -8,7 +8,7 @@ from typing import Iterable, Tuple
 
 import pytest
 
-from liebalance import blocks, roots, sweep
+from liebalance import balance, blocks, roots, sweep
 from liebalance import classify as classify_mod
 from liebalance import groups
 from liebalance.cli import main
@@ -17,11 +17,11 @@ from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constra
 
 
 def _counting(monkeypatch):
-    """Record every instance the sweep decides and every instance classify
-    builds."""
+    """Record every instance the sweep decides and every instance it builds
+    from a run."""
     decided, built = [], []
     is_balanced = sweep.is_balanced
-    balance_instance = classify_mod.balance_instance
+    balance_instance = sweep.balance_instance
 
     def counted(inst):
         decided.append(inst)
@@ -33,22 +33,27 @@ def _counting(monkeypatch):
         return inst
 
     monkeypatch.setattr(sweep, "is_balanced", counted)
-    monkeypatch.setattr(classify_mod, "balance_instance", recorded)
+    monkeypatch.setattr(sweep, "balance_instance", recorded)
     return decided, built
 
 
 def test_each_instance_is_decided_once_per_sweep(monkeypatch):
+    """A sweep builds one instance per skeleton and adjoint statuses, and
+    decides one canonical instance per canonical key among those."""
     decided, built = _counting(monkeypatch)
     first = sweep.run_sweep(Family.SU, 5)
-    first_calls, first_distinct = len(decided), len(set(built))
+    first_decided, first_built = len(decided), len(built)
+    keys = {balance.canonical_key(inst) for inst in built}
+    assert [balance.canonical_key(inst) for inst in decided] == \
+        [(inst.ambient_dim, inst.p_vectors, inst.n_vectors) for inst in decided]
+    assert {balance.canonical_key(inst) for inst in decided} == keys
+    assert len(decided) == len(keys) < len(set(built)) <= len(built) < first.runs
     decided.clear()
     built.clear()
     second = sweep.run_sweep(Family.SU, 5)
     assert second == first
-    # no memo outlives its sweep: the second run decides everything again
-    assert len(decided) == first_calls
-    assert len(set(decided)) == len(decided) == len(set(built)) == first_distinct
-    assert len(decided) < first.runs <= len(built)
+    # no memo outlives its sweep: the second run builds and decides everything again
+    assert (len(decided), len(built)) == (first_decided, first_built)
 
 
 def test_each_skeleton_gets_one_geometry_per_sweep(monkeypatch):
@@ -84,7 +89,8 @@ def _unmemoized(monkeypatch, family, bound):
 
 
 @pytest.mark.parametrize("family,bound", [
-    (Family.SU, 5), (Family.SO_STAR, 8), (Family.SP_R, 6), (Family.SL_R, 5)])
+    (Family.SU, 5), (Family.SO_STAR, 8), (Family.SP_R, 6), (Family.SL_R, 5),
+    (Family.SO, 6), (Family.SP, 6), (Family.SL_H, 6)])
 def test_memoized_sweep_equals_the_unmemoized_one(monkeypatch, family, bound):
     reference = _unmemoized(monkeypatch, family, bound)
     res = sweep.run_sweep(family, bound)
@@ -96,16 +102,24 @@ def _rows(prop):
     return prop.block_status, [(p.root.label, p.status) for p in prop.adjoint]
 
 
+def _read(verdict):
+    """A verdict as a sweep reads it: there the certificate belongs to the
+    canonical instance, so only its outcome is compared."""
+    cert = verdict.certificate
+    return {**vars(verdict), "certificate": None if cert is None else cert.balanced}
+
+
 @pytest.mark.parametrize("family,bound", [(Family.SU, 5), (Family.SO_STAR, 8)])
 def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
     """Each run of a sweep substitutes its assignment into the configuration's
     one propagation. It reaches the verdict, and the statuses, that
-    propagating the assignment as decorations and classifying give."""
+    propagating the assignment as decorations and classifying give; its
+    certificate has the same outcome."""
     reached = []
 
     def recorded(spec, surface, system, prop, decide):
         verdict = classify_mod.classify(spec, surface, system, prop, decide)
-        reached.append((spec.describe(), _rows(prop), verdict))
+        reached.append((spec.describe(), _rows(prop), _read(verdict)))
         return verdict
 
     monkeypatch.setattr(sweep, "classify", recorded)
@@ -121,7 +135,7 @@ def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
             decos = [Decoration(t, st) for t, st in zip(targets, combo)]
             prop = propagate_constraints(spec, system, decos, surface)
             verdict = classify_mod.classify(spec, surface, system, prop)
-            reference.append((spec.describe(), _rows(prop), verdict))
+            reference.append((spec.describe(), _rows(prop), _read(verdict)))
             if verdict.outcome == "rigid_maximal":
                 rigid.append([f"{d.target}={d.status.value}" for d in decos])
     assert len(reached) == len(reference) == res.runs
