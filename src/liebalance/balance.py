@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 
@@ -114,12 +114,16 @@ class BalancednessCertificate:
         return True
 
 
-def _primitive(v: Vec) -> Optional[IntVec]:
-    """The primitive integer vector on the ray through v; None for zero."""
+def _integral(v: Vec) -> IntVec:
+    """v scaled by the least common multiple of its denominators."""
     den = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints) if g else None
+    return tuple(x.numerator * (den // x.denominator) for x in v)
+
+
+def _primitive(v: IntVec) -> IntVec:
+    """The primitive integer vector on the ray through a nonzero v."""
+    g = math.gcd(*v)
+    return v if g == 1 else tuple(x // g for x in v)
 
 
 def canonical_key(inst: BalancednessInstance) -> CanonicalKey:
@@ -127,16 +131,25 @@ def canonical_key(inst: BalancednessInstance) -> CanonicalKey:
     primitive integer vector, each N vector's first nonzero entry made
     positive, and duplicates dropped, P and N sorted. Its verdict is the
     instance's, and `BalancednessInstance.make(*key)` builds it."""
-    ps, ns = set(), set()
-    for v in inst.p_vectors:
-        w = _primitive(v)
-        if w is not None:
-            ps.add(w)
-    for v in inst.n_vectors:
-        w = _primitive(v)
-        if w is not None:
-            ns.add(w if next(x for x in w if x) > 0 else tuple(-x for x in w))
-    return inst.ambient_dim, tuple(sorted(ps)), tuple(sorted(ns))
+    return canonical_key_of(inst.ambient_dim, map(_integral, inst.p_vectors),
+                            map(_integral, inst.n_vectors))
+
+
+def canonical_key_of(k: int, p_vectors: Iterable[IntVec], n_vectors: Iterable[IntVec]
+                     ) -> CanonicalKey:
+    """`canonical_key` of the instance with these integer vectors, which it
+    never builds: scaling each vector by a positive number leaves the key
+    unchanged."""
+    ps = {_primitive(v) for v in set(p_vectors) if any(v)}
+    ns = set()
+    # a nonzero vector's first nonzero entry is positive exactly when it
+    # follows the origin in lexicographic order
+    origin = (0,) * k
+    for v in set(n_vectors):
+        if any(v):
+            w = _primitive(v)
+            ns.add(w if w > origin else tuple(-x for x in w))
+    return k, tuple(sorted(ps)), tuple(sorted(ns))
 
 
 class SimplexError(RuntimeError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
 from .blocks import WEIGHTS, Block, ScenarioError
@@ -51,26 +51,33 @@ class FlexVerdict:
 MAX_UNKNOWN_ENUMERATION = 7
 
 
-def balance_instance(system: RootSystem, prop: Propagation) -> BalancednessInstance:
-    """P = imaginary parts of maximal-positive weights; N = real and imaginary
-    parts of everything outside +-P."""
-    k = system.dim_c
+def balance_vectors(parts: Iterable[Tuple[Sequence, Sequence]], statuses: Iterable[Status]):
+    """The balancedness rule over adjoint weights given as (re, im) parts
+    with their statuses: P = imaginary parts of maximal-positive weights;
+    N = real and imaginary parts of everything outside +-P. Returns the P
+    and N vectors in order, zeros and repeats kept."""
     p_vecs, n_vecs = [], []
-    seen_p, seen_n = set(), set()
-    for pr in prop.adjoint:
-        if pr.status == Status.MAXIMAL_POSITIVE:
-            v = pr.root.im
-            if any(x != 0 for x in v) and v not in seen_p:
-                seen_p.add(v)
-                p_vecs.append(v)
-        elif pr.status == Status.MAXIMAL_NEGATIVE:
-            continue   # lies in -P
-        else:
-            for v in (pr.root.re, pr.root.im):
-                if any(x != 0 for x in v) and v not in seen_n:
-                    seen_n.add(v)
-                    n_vecs.append(v)
-    return BalancednessInstance.make(k, p_vecs, n_vecs)
+    for (re, im), status in zip(parts, statuses):
+        if status is Status.MAXIMAL_POSITIVE:
+            p_vecs.append(im)
+        elif status is not Status.MAXIMAL_NEGATIVE:   # those lie in -P
+            n_vecs.append(re)
+            n_vecs.append(im)
+    return p_vecs, n_vecs
+
+
+def balance_instance(system: RootSystem, prop: Propagation) -> BalancednessInstance:
+    """The instance of `balance_vectors` on the propagation's adjoint
+    weights, zero vectors and repeats dropped."""
+    p_vecs, n_vecs = balance_vectors(((pr.root.re, pr.root.im) for pr in prop.adjoint),
+                                     (pr.status for pr in prop.adjoint))
+    return BalancednessInstance.make(system.dim_c, _distinct_nonzero(p_vecs),
+                                     _distinct_nonzero(n_vecs))
+
+
+def _distinct_nonzero(vecs):
+    """The nonzero vectors, each once, in order of first appearance."""
+    return list(dict.fromkeys(v for v in vecs if any(x != 0 for x in v)))
 
 
 def _short_circuit(spec: GroupSpec, system: RootSystem) -> Optional[str]:

@@ -5,13 +5,17 @@ Coordinates: every block kind's weights are read from ``blocks.WEIGHTS`` as
 combinations of the block's real coordinates (one for real-valued or pure
 imaginary weights, a complex pair for free ones). Where the ambient group is
 special linear, the trace relation cuts the center c out of those
-coordinates. A basis of c* is chosen deterministically by row reduction,
-every weight is stored as an exact pair of rational vectors (real part,
-imaginary part) in that basis, and all later convexity computations happen
-in these coordinates. The same table gives the matrix model its slices and
-its center, but not its forms: ``modelbuild`` builds T, B and s per block
-kind, and the oracle recovers the adjoint weights, their dimensions and
-signatures numerically, so a wrong entry of the table is caught there.
+coordinates. A basis of c* is chosen deterministically by row reduction and
+scaled once to integers by the least common denominator of its entries.
+Every weight is computed, and checked, as a pair of integer vectors (real
+part, imaginary part) over that one denominator, then stored as an exact
+pair of rational vectors in the basis, and all later convexity computations
+happen in these coordinates; a sweep keys its balancedness questions on the
+integer vectors, which span the same rays. The same table gives the matrix
+model its slices and its center, but not its forms: ``modelbuild`` builds T,
+B and s per block kind, and the oracle recovers the adjoint weights, their
+dimensions and signatures numerically, so a wrong entry of the table is
+caught there.
 
 Everything but the signatures depends only on the family and the blocks'
 skeleton, their kinds, dims, multiplicities and labels in canonical order:
@@ -37,6 +41,7 @@ floating-point oracle checks them on every instance it draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -47,18 +52,11 @@ from .groups import Family, FamilyParams, GroupSpec
 from . import groups, linalg
 
 Vec = Tuple[Fraction, ...]
+IntVec = Tuple[int, ...]
 
 
-def _zero_vec(k: int) -> Vec:
-    return tuple(Fraction(0) for _ in range(k))
-
-
-def _neg(v: Vec) -> Vec:
+def _neg(v: IntVec) -> IntVec:
     return tuple(-x for x in v)
-
-
-def _sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -128,24 +126,34 @@ class WeightGeometry:
     dim_g0: int
     space_sigs: Tuple[Optional[Tuple[int, bool]], ...]
     adjoint_sigs: Tuple[Optional[Tuple], ...]
+    # each adjoint weight's (re, im) as integer vectors over one common
+    # denominator: the same rays, for keys that need no Fractions
+    adjoint_parts: Tuple[Tuple[IntVec, IntVec], ...]
 
 
 def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):
-    """Basis of the solution space of the relations; returns the raw x k
-    matrix A whose columns form the basis, as rows of length k."""
+    """Basis of the solution space of the relations, scaled to integers by
+    the least common denominator of its entries. Returns the raw x k integer
+    matrix whose columns form the basis, as rows of length k, then k and the
+    denominator."""
     basis = linalg.frac_nullspace(relations, raw_dim)
-    k = len(basis)
-    a = [[basis[c][i] for c in range(k)] for i in range(raw_dim)]
-    return a, k
+    den = math.lcm(*(x.denominator for v in basis for x in v))
+    a = [tuple(v[i].numerator * (den // v[i].denominator) for v in basis)
+         for i in range(raw_dim)]
+    return a, len(basis), den
 
 
-def _combine(coefs, coords: Sequence[Vec], k: int) -> Vec:
-    """The combination of the coordinates with these coefficients."""
-    out = _zero_vec(k)
-    for c, v in zip(coefs, coords):
-        if c:
-            out = tuple(o + c * x for o, x in zip(out, v))
-    return out
+def _over(den: int) -> Callable[[IntVec], Vec]:
+    """Integer vectors over the denominator as exact vectors; each distinct
+    entry's Fraction is built once."""
+    fractions: Dict[int, Fraction] = {}
+
+    def exact(v: IntVec) -> Vec:
+        for x in v:
+            if x not in fractions:
+                fractions[x] = Fraction(x, den)
+        return tuple(map(fractions.__getitem__, v))
+    return exact
 
 
 def _product_sig(s1: Signature, s2: Signature) -> Signature:
@@ -186,9 +194,11 @@ def _standard_weights(row: FamilyParams, skeleton: Skeleton):
     combinations of the block's real coordinates. Where the group is special
     linear, c is traceless: the dimension-weighted sum of the weights vanishes
     on it, and its real and imaginary parts are the relations cutting c out of
-    the coordinates. Returns dim c, the zero weight (None without a zero
-    block), the nonzero weights, and for each weight space in `_spaces` order
-    the (block index, flipped) its signature comes from, or None.
+    the coordinates. Every weight is computed as an integer vector over the
+    denominator of the scaled basis of c*. Returns dim c, the conversion of
+    such vectors to exact ones, the weight spaces in `_spaces` order, their
+    integer (re, im), and for each the (block index, flipped) its signature
+    comes from, or None.
     """
     weighted = [(i, kind, dim * mult, label)
                 for i, (kind, dim, mult, label) in enumerate(skeleton) if kind != "zero"]
@@ -208,12 +218,22 @@ def _standard_weights(row: FamilyParams, skeleton: Skeleton):
                     trace[0][j] += d_eff * cr
                     trace[1][j] += d_eff * ci
         relations = [r for r in trace if any(r)]
-    a, k = _reduce_map(raw, relations)
     # row i of the reduce map is raw coordinate i in the basis of c*
-    coords = [tuple(r) for r in a]
+    coords, k, den = _reduce_map(raw, relations)
+    exact = _over(den)
 
-    roots: List[StandardRoot] = []
+    spaces: List[StandardRoot] = []
+    parts: List[Tuple[IntVec, IntVec]] = []
     sigs: List[Optional[Tuple[int, bool]]] = []
+    # the zero space first, in `_spaces` order
+    for i, (kind, dim, _mult, label) in enumerate(skeleton):
+        if kind == "zero":
+            origin = (0,) * k
+            spaces.append(StandardRoot("0", exact(origin), exact(origin), dim, True, None,
+                                       label, negation="0"))
+            parts.append((origin, origin))
+            sigs.append((i, False))
+            break
     for (i, kind, d_eff, label), span in zip(weighted, spans):
         table = WEIGHTS[kind]
         own = [coords[j] for j in span]
@@ -221,46 +241,49 @@ def _standard_weights(row: FamilyParams, skeleton: Skeleton):
             negation = next((f"{label}:{s}" for s, re2, im2 in table
                              if re2 == _neg(re) and im2 == _neg(im)), None)
             pure_im = not any(re)
-            roots.append(StandardRoot(f"{label}:{suffix}", _combine(re, own, k),
-                                      _combine(im, own, k), d_eff, pure_im, None,
-                                      label, negation))
+            # integer combinations of the block's coordinates
+            re_i, im_i = (tuple(sum(c * v[j] for c, v in zip(coefs, own)) for j in range(k))
+                          for coefs in (re, im))
+            spaces.append(StandardRoot(f"{label}:{suffix}", exact(re_i), exact(im_i), d_eff,
+                                       pure_im, None, label, negation))
+            parts.append((re_i, im_i))
             # the declared signature is that of the weight +t; for skew s the
             # form i*s changes sign on its negation
             sigs.append((i, row.eta_epsilon == -1 and im[0] < 0) if pure_im else None)
     # real and imaginary parts of the weights still generate c* after the
     # trace relation cuts it down
     if relations and k:
-        vecs = [list(r.re) for r in roots] + [list(r.im) for r in roots]
-        if linalg.frac_rank(vecs) != k:
+        if linalg.frac_rank([list(v) for part in parts for v in part]) != k:
             raise AssertionError("standard weights fail to span the dual of c")
-    for i, (kind, dim, _mult, label) in enumerate(skeleton):
-        if kind == "zero":
-            zero = StandardRoot("0", _zero_vec(k), _zero_vec(k), dim, True, None,
-                                label, negation="0")
-            return k, zero, roots, ((i, False), *sigs)
-    return k, None, roots, tuple(sigs)
+    return k, exact, spaces, parts, tuple(sigs)
 
 
-def _adjoint_weights(row: FamilyParams, spaces: Sequence[StandardRoot], k: int):
+def _adjoint_weights(row: FamilyParams, spaces: Sequence[StandardRoot],
+                     parts: Sequence[Tuple[IntVec, IntVec]], k: int,
+                     exact: Callable[[IntVec], Vec]):
     """The weights of c on g: Hom(I_a, I_b) for each ordered pair of distinct
     weight spaces. Where the form pairs I_a with I_-a, Hom(I_a, I_b) and
     Hom(I_-b, I_-a) are one space, built from the pair that comes first.
-    Returns (weight, signature rule) pairs sorted by label; the rule is
-    ("wedge", a, None), ("tau", a, None) or ("product", a, b) over the
-    spaces, or None where the weight is not pure imaginary."""
+    Values are differences of the spaces' integer parts, checked as
+    integers; each root is built once with its exact values. Returns
+    (weight, signature rule, integer (re, im)) triples sorted by label; the
+    rule is ("wedge", a, None), ("tau", a, None) or ("product", a, b) over
+    the spaces, or None where the weight is not pure imaginary."""
     at = {r.label: i for i, r in enumerate(spaces)}
     out = []
     # the zero value is g0's: adjoint weights are nonzero and pairwise distinct
-    seen = {(_zero_vec(k), _zero_vec(k))}
+    seen = {((0,) * k, (0,) * k)}
     # a value's negation is the reverse pair's value, which can only be
     # missing where that pair was skipped for its mirror: check those values
     paired_values = []
     for i, ra in enumerate(spaces):
+        re_a, im_a = parts[i]
         for j, rb in enumerate(spaces):
             paired = ra.negation is not None and rb.negation is not None
             if i == j or (paired and (at[rb.negation], at[ra.negation]) < (i, j)):
                 continue
-            re, im = _sub(rb.re, ra.re), _sub(rb.im, ra.im)
+            re_b, im_b = parts[j]
+            re, im = tuple(map(int.__sub__, re_b, re_a)), tuple(map(int.__sub__, im_b, im_a))
             pure_im = not any(re)
             label, source = f"{ra.label}->{rb.label}", ("hom", ra.label, rb.label)
             dim, rule = ra.dim * rb.dim, ("product", i, j) if pure_im else None
@@ -272,7 +295,7 @@ def _adjoint_weights(row: FamilyParams, spaces: Sequence[StandardRoot], k: int):
                 label, source = f"wedge({ra.label})", ("wedge", ra.label)
                 rule = ("wedge", i, None) if pure_im else None
             elif row.eta is not None and ra.block_label == rb.block_label \
-                    and (rb.re, rb.im) == (ra.re, _neg(ra.im)):
+                    and (re_b, im_b) == (re_a, _neg(im_a)):
                 # tau carries I_a onto I_b, the conjugate weight's space
                 rule = ("tau", i, None)
             before = len(seen)
@@ -281,11 +304,12 @@ def _adjoint_weights(row: FamilyParams, spaces: Sequence[StandardRoot], k: int):
                 raise AssertionError("adjoint weights are not nonzero and pairwise distinct")
             if paired:
                 paired_values.append((re, im))
-            out.append((AdjointRoot(label, re, im, dim, pure_im, None, source), rule))
+            out.append((AdjointRoot(label, exact(re), exact(im), dim, pure_im, None, source),
+                        rule, (re, im)))
     for re, im in paired_values:
         if (_neg(re), _neg(im)) not in seen:
             raise AssertionError("adjoint weights are not closed under negation")
-    out.sort(key=lambda pair: pair[0].label)
+    out.sort(key=lambda triple: triple[0].label)
     return out
 
 
@@ -293,16 +317,18 @@ def weight_geometry(family: Family, skeleton: Skeleton) -> WeightGeometry:
     """Everything in the root system of blocks with this skeleton, in a group
     of the family, except the signatures."""
     row = groups.FAMILIES[family]
-    k, zero, standard, space_sigs = _standard_weights(row, skeleton)
-    adjoint = _adjoint_weights(row, _spaces(zero, standard), k)
+    k, exact, spaces, parts, space_sigs = _standard_weights(row, skeleton)
+    adjoint = _adjoint_weights(row, spaces, parts, k, exact)
+    zero, standard = (spaces[0], spaces[1:]) if spaces and spaces[0].is_zero else (None, spaces)
     if row.is_sl_like:
         dim_g0 = sum(r.dim * r.dim for r in standard) - 1
     else:
         # gl(I_l) once for each pair of weights +-l, and the forms on I_0
         d0 = zero.dim if zero is not None else 0
         dim_g0 = wedge_dim(d0, row.epsilon) + sum(r.dim ** 2 for r in standard) // 2
-    return WeightGeometry(k, tuple(standard), zero, tuple(r for r, _ in adjoint), dim_g0,
-                          space_sigs, tuple(rule for _, rule in adjoint))
+    return WeightGeometry(k, tuple(standard), zero, tuple(r for r, _, _ in adjoint), dim_g0,
+                          space_sigs, tuple(rule for _, rule, _ in adjoint),
+                          tuple(part for _, _, part in adjoint))
 
 
 def _adjoint_sig(spec: GroupSpec, dim: int, rule, spaces: Sequence[StandardRoot]

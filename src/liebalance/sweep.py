@@ -21,9 +21,9 @@ from typing import Dict, List
 from . import blocks as bk
 from . import groups
 from .balance import (BalancednessCertificate, BalancednessInstance, CanonicalKey,
-                      canonical_key, is_balanced)
+                      canonical_key_of, is_balanced)
 from .blocks import Block, ScenarioError
-from .classify import InternalConsistencyError, assignments, balance_instance, classify
+from .classify import InternalConsistencyError, assignments, balance_vectors, classify
 from .exact import Signature
 from .groups import Family
 from .roots import root_system, skeleton, weight_geometry
@@ -114,10 +114,9 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     """Classify every decorated configuration of the family up to the bound.
 
     The configurations of one sweep ask the same balancedness questions again
-    and again, so two memos that die with the call decide each once. The
-    first is keyed by the blocks' skeleton and the adjoint statuses, which
-    fix every vector `balance_instance` reads: a hit builds no instance. On a
-    miss the instance is reduced to its `canonical_key`, in integers, and
+    and again, so a memo that dies with the call decides each once. Each run
+    forms its `balance.canonical_key_of` from `classify.balance_vectors`
+    over the geometry's integer adjoint parts and the run's statuses, and
     only a new key builds its canonical instance for `is_balanced`. So a
     sweep's certificates belong to canonical instances, not to the runs'
     own, and the sweep reads only their outcomes: every certificate was
@@ -128,24 +127,23 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
-    by_statuses: Dict[tuple, BalancednessCertificate] = {}
     by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
 
-    def decide(system, prop) -> BalancednessCertificate:
-        statuses = (skeleton(system.blocks), tuple(p.status for p in prop.adjoint))
-        cert = by_statuses.get(statuses)
+    def decide(parts, system, prop) -> BalancednessCertificate:
+        # prop.adjoint and the geometry's parts share the label order
+        key = canonical_key_of(system.dim_c, *balance_vectors(
+            parts, (p.status for p in prop.adjoint)))
+        cert = by_key.get(key)
         if cert is None:
-            key = canonical_key(balance_instance(system, prop))
-            cert = by_key.get(key)
-            if cert is None:
-                cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
-            by_statuses[statuses] = cert
+            cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
         return cert
 
     geometry = functools.lru_cache(maxsize=None)(weight_geometry)
     for blocks_ in _configurations(family, bound):
         spec = bk.spec_for(family, blocks_)
         system = root_system(spec, blocks_, geometry)
+        decide_here = functools.partial(
+            decide, geometry(spec.family, skeleton(system.blocks)).adjoint_parts)
         res.configurations += 1
         surface = SurfaceData(genus=spec.genus_bound())
         base = propagate_constraints(spec, system, [])
@@ -161,7 +159,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
         for assignment in assignments(base.std, targets):
             try:
                 verdict = classify(spec, surface, system, base.substituted(assignment),
-                                   decide)
+                                   decide_here)
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue

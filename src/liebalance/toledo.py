@@ -179,7 +179,8 @@ class Propagation:
     adjoint: List[PropagatedRoot] = field(init=False)
 
     def __post_init__(self):
-        self.adjoint = [PropagatedRoot(**vars(r), status=r.read(self.block_status))
+        self.adjoint = [PropagatedRoot(r.root, r.forced_tag, r.derived_from, r.flipped,
+                                       r.read(self.block_status))
                         for r in self.rules]
 
     def mirrored(self, label: str, status: Status) -> List[Tuple[str, Status]]:

@@ -406,3 +406,163 @@ def test_dims_multiplicities_and_labels_are_part_of_the_key():
     assert _geometries_built(
         (groups.sl_r(4), [blocks.conj_pair(2, 1, "a")]),
         (groups.sl_r(4), [blocks.conj_pair(2, 1, "b")])) == 2
+
+
+# -- reference: the weight geometry in Fraction arithmetic -------------------
+#
+# The package computes every weight as an integer vector over one common
+# denominator and builds the exact vectors once. The functions below are the
+# earlier construction, every coordinate a Fraction from the start; the
+# integer one must give the same roots, value for value.
+
+def _ref_zero_vec(k):
+    return tuple(Fraction(0) for _ in range(k))
+
+
+def _ref_combine(coefs, coords, k):
+    out = _ref_zero_vec(k)
+    for c, v in zip(coefs, coords):
+        if c:
+            out = tuple(o + c * x for o, x in zip(out, v))
+    return out
+
+
+def _ref_standard_weights(row, skeleton):
+    weighted = [(i, kind, dim * mult, label)
+                for i, (kind, dim, mult, label) in enumerate(skeleton) if kind != "zero"]
+    spans, raw = [], 0
+    for _i, kind, _d, _label in weighted:
+        size = len(blocks.WEIGHTS[kind][0][1])
+        spans.append(range(raw, raw + size))
+        raw += size
+    relations = []
+    if row.is_sl_like:
+        trace = [[Fraction(0)] * raw, [Fraction(0)] * raw]
+        for (_i, kind, d_eff, _label), span in zip(weighted, spans):
+            for _suffix, re, im in blocks.WEIGHTS[kind]:
+                for j, cr, ci in zip(span, re, im):
+                    trace[0][j] += d_eff * cr
+                    trace[1][j] += d_eff * ci
+        relations = [r for r in trace if any(r)]
+    basis = linalg.frac_nullspace(relations, raw)
+    k = len(basis)
+    coords = [tuple(basis[c][i] for c in range(k)) for i in range(raw)]
+
+    out, sigs = [], []
+    for (i, kind, d_eff, label), span in zip(weighted, spans):
+        table = blocks.WEIGHTS[kind]
+        own = [coords[j] for j in span]
+        for suffix, re, im in table:
+            negation = next((f"{label}:{s}" for s, re2, im2 in table
+                             if re2 == _ref_neg(re) and im2 == _ref_neg(im)), None)
+            pure_im = not any(re)
+            out.append(roots.StandardRoot(f"{label}:{suffix}", _ref_combine(re, own, k),
+                                          _ref_combine(im, own, k), d_eff, pure_im, None,
+                                          label, negation))
+            sigs.append((i, row.eta_epsilon == -1 and im[0] < 0) if pure_im else None)
+    if relations and k:
+        vecs = [list(r.re) for r in out] + [list(r.im) for r in out]
+        assert linalg.frac_rank(vecs) == k
+    for i, (kind, dim, _mult, label) in enumerate(skeleton):
+        if kind == "zero":
+            zero = roots.StandardRoot("0", _ref_zero_vec(k), _ref_zero_vec(k), dim, True,
+                                      None, label, negation="0")
+            return k, zero, out, ((i, False), *sigs)
+    return k, None, out, tuple(sigs)
+
+
+def _ref_adjoint_weights(row, spaces, k):
+    at = {r.label: i for i, r in enumerate(spaces)}
+    out = []
+    seen = {(_ref_zero_vec(k), _ref_zero_vec(k))}
+    paired_values = []
+    for i, ra in enumerate(spaces):
+        for j, rb in enumerate(spaces):
+            paired = ra.negation is not None and rb.negation is not None
+            if i == j or (paired and (at[rb.negation], at[ra.negation]) < (i, j)):
+                continue
+            re, im = _ref_sub(rb.re, ra.re), _ref_sub(rb.im, ra.im)
+            pure_im = not any(re)
+            label, source = f"{ra.label}->{rb.label}", ("hom", ra.label, rb.label)
+            dim, rule = ra.dim * rb.dim, ("product", i, j) if pure_im else None
+            if rb.label == ra.negation:
+                dim = wedge_dim(ra.dim, row.epsilon)
+                if dim == 0:
+                    continue
+                label, source = f"wedge({ra.label})", ("wedge", ra.label)
+                rule = ("wedge", i, None) if pure_im else None
+            elif row.eta is not None and ra.block_label == rb.block_label \
+                    and (rb.re, rb.im) == (ra.re, _ref_neg(ra.im)):
+                rule = ("tau", i, None)
+            assert (re, im) not in seen
+            seen.add((re, im))
+            if paired:
+                paired_values.append((re, im))
+            out.append((AdjointRoot(label, re, im, dim, pure_im, None, source), rule))
+    for re, im in paired_values:
+        assert (_ref_neg(re), _ref_neg(im)) in seen
+    out.sort(key=lambda pair: pair[0].label)
+    return out
+
+
+def _scale(geo):
+    """The one positive rational c with c * exact == integer part for every
+    adjoint weight of the geometry, or None when there is no such c."""
+    ratios = {Fraction(x) / y
+              for r, part in zip(geo.adjoint, geo.adjoint_parts)
+              for exact, ints in zip((r.re, r.im), part)
+              for y, x in zip(exact, ints) if y}
+    zeros_match = all((y == 0) == (x == 0)
+                      for r, part in zip(geo.adjoint, geo.adjoint_parts)
+                      for exact, ints in zip((r.re, r.im), part)
+                      for y, x in zip(exact, ints))
+    return ratios.pop() if len(ratios) == 1 and zeros_match and min(ratios) > 0 else None
+
+
+def _assert_matches_the_fraction_geometry(family, skeleton):
+    row = groups.FAMILIES[family]
+    k, zero, standard, space_sigs = _ref_standard_weights(row, skeleton)
+    adjoint = _ref_adjoint_weights(row, roots._spaces(zero, standard), k)
+    geo = roots.weight_geometry(family, skeleton)
+    # dataclass equality: labels, re, im, dims, sources, negations, kinds
+    assert (geo.dim_c, geo.zero, list(geo.standard), geo.space_sigs) == \
+        (k, zero, standard, space_sigs), (family, skeleton)
+    assert list(zip(geo.adjoint, geo.adjoint_sigs)) == adjoint, (family, skeleton)
+    assert all(type(x) is Fraction for r in (*geo.standard, *geo.adjoint)
+               for x in (*r.re, *r.im))
+    scale = _scale(geo) if geo.adjoint else Fraction(1)
+    assert scale is not None and scale.denominator == 1, (family, skeleton)
+    return scale
+
+
+def _swept_skeletons(bound):
+    seen = set()
+    for family, _ in SMALL_SWEEPS:
+        for bl in _configurations(family, bound):
+            spec = blocks.spec_for(family, bl)
+            key = (family, roots.skeleton(blocks.normalize_blocks(spec, bl)))
+            if key not in seen:
+                seen.add(key)
+                yield key
+
+
+def test_integer_geometry_equals_the_fraction_one_on_swept_skeletons():
+    scales = [_assert_matches_the_fraction_geometry(family, skeleton)
+              for family, skeleton in _swept_skeletons(8)]
+    # every skeleton of the seven swept families at bound 8
+    assert len(scales) == 587
+    # the trace relation's basis has denominators above 1
+    assert max(scales) > 1
+
+
+def test_integer_geometry_equals_the_fraction_one_on_random_draws():
+    scales = {}
+    for family in Family:
+        for s in range(30):
+            spec, bl = random_scenario(family, Random(s), cap=12)
+            skeleton = roots.skeleton(blocks.normalize_blocks(spec, bl))
+            scale = _assert_matches_the_fraction_geometry(family, skeleton)
+            scales[family] = max(scales.get(family, 0), scale)
+    assert {f for f, c in scales.items() if c > 1} <= \
+        {f for f in Family if groups.FAMILIES[f].is_sl_like}
+    assert scales[Family.SL_C] > 1

@@ -16,44 +16,62 @@ from liebalance.groups import Family
 from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
 
 
-def _counting(monkeypatch):
-    """Record every instance the sweep decides and every instance it builds
-    from a run."""
-    decided, built = [], []
+def _recording(monkeypatch):
+    """Record every instance the sweep decides, every key it forms, and for
+    each run the canonical key of the instance `check` would build for it."""
+    decided, formed, expected = [], [], []
     is_balanced = sweep.is_balanced
-    balance_instance = sweep.balance_instance
+    canonical_key_of = sweep.canonical_key_of
 
     def counted(inst):
         decided.append(inst)
         return is_balanced(inst)
 
-    def recorded(system, prop):
-        inst = balance_instance(system, prop)
-        built.append(inst)
-        return inst
+    def formed_key(*args):
+        formed.append(canonical_key_of(*args))
+        return formed[-1]
+
+    def recorded(spec, surface, system, prop, decide):
+        def reference(system, prop):
+            inst = classify_mod.balance_instance(system, prop)
+            expected.append(balance.canonical_key(inst))
+            return decide(system, prop)
+        return classify_mod.classify(spec, surface, system, prop, reference)
 
     monkeypatch.setattr(sweep, "is_balanced", counted)
-    monkeypatch.setattr(sweep, "balance_instance", recorded)
-    return decided, built
+    monkeypatch.setattr(sweep, "canonical_key_of", formed_key)
+    monkeypatch.setattr(sweep, "classify", recorded)
+    return decided, formed, expected
 
 
 def test_each_instance_is_decided_once_per_sweep(monkeypatch):
-    """A sweep builds one instance per skeleton and adjoint statuses, and
-    decides one canonical instance per canonical key among those."""
-    decided, built = _counting(monkeypatch)
+    """A sweep decides one canonical instance per distinct key among its
+    runs' keys, and keeps nothing into a second sweep."""
+    decided, formed, expected = _recording(monkeypatch)
     first = sweep.run_sweep(Family.SU, 5)
-    first_decided, first_built = len(decided), len(built)
-    keys = {balance.canonical_key(inst) for inst in built}
+    first_decided = len(decided)
+    assert formed == expected and len(formed) == first.runs
     assert [balance.canonical_key(inst) for inst in decided] == \
         [(inst.ambient_dim, inst.p_vectors, inst.n_vectors) for inst in decided]
-    assert {balance.canonical_key(inst) for inst in decided} == keys
-    assert len(decided) == len(keys) < len(set(built)) <= len(built) < first.runs
+    assert {balance.canonical_key(inst) for inst in decided} == set(formed)
+    assert len(decided) == len(set(formed)) < first.runs
     decided.clear()
-    built.clear()
     second = sweep.run_sweep(Family.SU, 5)
     assert second == first
-    # no memo outlives its sweep: the second run builds and decides everything again
-    assert (len(decided), len(built)) == (first_decided, first_built)
+    # no memo outlives its sweep: the second run decides everything again
+    assert len(decided) == first_decided
+
+
+@pytest.mark.parametrize("family,bound", [
+    (Family.SU, 6), (Family.SO_STAR, 8), (Family.SP_R, 6), (Family.SL_R, 6),
+    (Family.SO, 6), (Family.SP, 6), (Family.SL_H, 6)])
+def test_each_runs_integer_key_is_its_instances_canonical_key(monkeypatch, family, bound):
+    """The key a run forms from the geometry's integer adjoint parts and its
+    statuses is the canonical key of the Fraction instance `check` builds."""
+    _decided, formed, expected = _recording(monkeypatch)
+    res = sweep.run_sweep(family, bound)
+    assert formed == expected
+    assert len(formed) == res.runs and res.ok
 
 
 def test_each_skeleton_gets_one_geometry_per_sweep(monkeypatch):
