@@ -17,8 +17,10 @@ independent brute-force decision over support sets backs it in the tests.
 
 The verdict depends only on the cone of P and the span of N: scaling a vector
 of P by a positive number, one of N by any nonzero number, repeating a vector
-or adding a zero vector changes neither. `canonical_key` reduces an instance
-to the smallest one with the same verdict, as integers.
+or adding a zero vector changes neither. Nor does negating all of P: c and d
+solve sum c_i p_i + sum d_j n_j = 0 exactly when c and -d solve it for -P,
+and phi fits (P, N) exactly when -phi fits (-P, N). `canonical_key` reduces
+an instance to the smallest one of its sign class, as integers.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import linalg
 
 Vec = Tuple[Fraction, ...]
 IntVec = Tuple[int, ...]
-# ambient dimension, then the distinct P and N directions, sorted
+# ambient dimension, then the distinct P (or -P) and N directions, sorted
 CanonicalKey = Tuple[int, Tuple[IntVec, ...], Tuple[IntVec, ...]]
 
 
@@ -129,8 +131,8 @@ def _primitive(v: IntVec) -> IntVec:
 def canonical_key(inst: BalancednessInstance) -> CanonicalKey:
     """The instance with zero vectors dropped, every vector scaled to its
     primitive integer vector, each N vector's first nonzero entry made
-    positive, and duplicates dropped, P and N sorted. Its verdict is the
-    instance's, and `BalancednessInstance.make(*key)` builds it."""
+    positive, duplicates dropped, P and N sorted, and P negated if that sorts
+    first: `BalancednessInstance.make(*key)` builds it, with its verdict."""
     return canonical_key_of(inst.ambient_dim, map(_integral, inst.p_vectors),
                             map(_integral, inst.n_vectors))
 
@@ -149,7 +151,9 @@ def canonical_key_of(k: int, p_vectors: Iterable[IntVec], n_vectors: Iterable[In
         if any(v):
             w = _primitive(v)
             ns.add(w if w > origin else tuple(-x for x in w))
-    return k, tuple(sorted(ps)), tuple(sorted(ns))
+    # (-P, N) has the verdict of (P, N): keep whichever P sorts first
+    p = min(sorted(ps), sorted(tuple(-x for x in v) for v in ps))
+    return k, tuple(p), tuple(sorted(ns))
 
 
 class SimplexError(RuntimeError):

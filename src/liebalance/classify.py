@@ -69,8 +69,8 @@ def balance_vectors(parts: Iterable[Tuple[Sequence, Sequence]], statuses: Iterab
 def balance_instance(system: RootSystem, prop: Propagation) -> BalancednessInstance:
     """The instance of `balance_vectors` on the propagation's adjoint
     weights, zero vectors and repeats dropped."""
-    p_vecs, n_vecs = balance_vectors(((pr.root.re, pr.root.im) for pr in prop.adjoint),
-                                     (pr.status for pr in prop.adjoint))
+    p_vecs, n_vecs = balance_vectors(((r.root.re, r.root.im) for r in prop.rules),
+                                     prop.statuses)
     return BalancednessInstance.make(system.dim_c, _distinct_nonzero(p_vecs),
                                      _distinct_nonzero(n_vecs))
 

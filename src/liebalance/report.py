@@ -107,18 +107,18 @@ def to_json(res: RunResult) -> Dict:
             "status": res.propagation.block_status[r.label].value,
         })
     adj = []
-    for pr in res.propagation.adjoint:
-        r = pr.root
+    for rule, status in zip(res.propagation.rules, res.propagation.statuses):
+        r = rule.root
         entry = {
             "label": r.label, "re": _vec(r.re), "im": _vec(r.im), "dim": r.dim,
             "pure_imaginary": r.pure_imaginary, "signature": _sig(r.sig),
-            "status": pr.status.value,
+            "status": status.value,
         }
-        if pr.forced_tag:
-            entry["forced_by"] = pr.forced_tag
-        if pr.derived_from:
-            entry["derived_from"] = pr.derived_from
-            entry["derived_flipped"] = pr.flipped
+        if rule.forced_tag:
+            entry["forced_by"] = rule.forced_tag
+        if rule.derived_from:
+            entry["derived_from"] = rule.derived_from
+            entry["derived_flipped"] = rule.flipped
         adj.append(entry)
     inst = balance_instance(system, res.propagation)
     cert = res.verdict.certificate

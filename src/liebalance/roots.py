@@ -42,7 +42,7 @@ floating-point oracle checks them on every instance it draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -356,9 +356,12 @@ def _signed(spec: GroupSpec, blocks: List[Block], geo: WeightGeometry) -> RootSy
         if rule is not None:
             i, flipped = rule
             sig = blocks[i].sig
-            r = replace(r, sig=sig.flip() if flipped else sig)
+            r = type(r)(r.label, r.re, r.im, r.dim, r.pure_imaginary,
+                        sig.flip() if flipped else sig, r.block_label, r.negation)
         spaces.append(r)
-    adjoint = [r if rule is None else replace(r, sig=_adjoint_sig(spec, r.dim, rule, spaces))
+    adjoint = [r if rule is None else
+               type(r)(r.label, r.re, r.im, r.dim, r.pure_imaginary,
+                       _adjoint_sig(spec, r.dim, rule, spaces), r.source)
                for r, rule in zip(geo.adjoint, geo.adjoint_sigs)]
     zero, standard = (None, spaces) if geo.zero is None else (spaces[0], spaces[1:])
     return RootSystem(spec, blocks, geo.dim_c, standard, zero, adjoint, geo.dim_g0)

@@ -117,22 +117,23 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     and again, so a memo that dies with the call decides each once. Each run
     forms its `balance.canonical_key_of` from `classify.balance_vectors`
     over the geometry's integer adjoint parts and the run's statuses, and
-    only a new key builds its canonical instance for `is_balanced`. So a
-    sweep's certificates belong to canonical instances, not to the runs'
-    own, and the sweep reads only their outcomes: every certificate was
-    verified when it was made, so sharing one changes no output. In the same
-    way `geometry` memoizes `weight_geometry` for the call: the
-    configurations that differ only in signatures share one skeleton, and
-    each root system is signed and audited afresh."""
+    only a new key builds its canonical instance for `is_balanced`. A run
+    and its conjugate, every maximal status flipped, ask (P, N) and (-P, N),
+    which share a key. So a sweep's certificates belong to canonical
+    instances, not to the runs' own, and the sweep reads only their
+    outcomes: every certificate was verified when it was made, so sharing
+    one changes no output. In the same way `geometry` memoizes
+    `weight_geometry` for the call: the configurations that differ only in
+    signatures share one skeleton, and each root system is signed and
+    audited afresh."""
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
     by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
 
     def decide(parts, system, prop) -> BalancednessCertificate:
-        # prop.adjoint and the geometry's parts share the label order
-        key = canonical_key_of(system.dim_c, *balance_vectors(
-            parts, (p.status for p in prop.adjoint)))
+        # prop.statuses and the geometry's parts share the label order
+        key = canonical_key_of(system.dim_c, *balance_vectors(parts, prop.statuses))
         cert = by_key.get(key)
         if cert is None:
             cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))

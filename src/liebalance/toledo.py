@@ -156,32 +156,23 @@ class WeightRule:
     derived_from: Optional[str]
     flipped: bool
 
-    def read(self, block_status: Dict[str, Status]) -> Status:
-        if self.derived_from is None:
-            return Status.NON_MAXIMAL
-        status = block_status[self.derived_from]
-        return status.flip() if self.flipped else status
-
-
-@dataclass(frozen=True)
-class PropagatedRoot(WeightRule):
-    status: Status
-
 
 @dataclass
 class Propagation:
-    """The standard weights' statuses and every adjoint status read from them
-    through its rule."""
+    """The standard weights' statuses, and in ``statuses`` each adjoint
+    weight's status read from them through its rule, aligned with ``rules``."""
     spec: GroupSpec
     std: Dict[str, StandardRoot]
     block_status: Dict[str, Status]
     rules: List[WeightRule]
-    adjoint: List[PropagatedRoot] = field(init=False)
+    statuses: Tuple[Status, ...] = field(init=False)
 
     def __post_init__(self):
-        self.adjoint = [PropagatedRoot(r.root, r.forced_tag, r.derived_from, r.flipped,
-                                       r.read(self.block_status))
-                        for r in self.rules]
+        status = self.block_status
+        self.statuses = tuple(
+            Status.NON_MAXIMAL if r.derived_from is None else
+            status[r.derived_from].flip() if r.flipped else status[r.derived_from]
+            for r in self.rules)
 
     def mirrored(self, label: str, status: Status) -> List[Tuple[str, Status]]:
         """(label, status), and the mirror status on the opposite weight -l
@@ -202,9 +193,9 @@ class Propagation:
     def unknown_blocks(self) -> List[str]:
         """Block weights whose unknown status some adjoint weight still reads,
         one per pair +-l: a status on one weight sets its negation."""
-        labels = sorted({p.derived_from for p in self.adjoint
-                         if p.derived_from is not None
-                         and self.block_status[p.derived_from] == Status.UNKNOWN})
+        labels = sorted({r.derived_from for r in self.rules
+                         if r.derived_from is not None
+                         and self.block_status[r.derived_from] == Status.UNKNOWN})
         return [label for i, label in enumerate(labels)
                 if self.std[label].negation not in labels[:i]]
 

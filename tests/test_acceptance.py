@@ -491,7 +491,7 @@ def test_criterion_8_forcing_tags_audited(capsys):
     for spec, bl, decos in probes:
         sysr = root_system(spec, bl)
         prop = propagate_constraints(spec, sysr, decos)
-        for p in prop.adjoint:
+        for p in prop.rules:
             if p.forced_tag is not None:
                 assert p.forced_tag in ALL_TAGS, p.forced_tag
                 seen_tags.add(p.forced_tag)

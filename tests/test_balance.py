@@ -306,19 +306,26 @@ def _rescaled(data, vectors, signs):
 @settings(max_examples=300)
 @given(instances(), st.data())
 def test_canonical_key_keeps_the_verdict_and_forgets_scale_repeats_order_and_zeros(case, data):
+    """The key forgets positive scales on P, nonzero scales on N, repeats,
+    order, zero vectors and the sign of all of P at once: (-P, N) has the
+    verdict of (P, N)."""
     k, ps, ns = case
     original = inst(k, ps, ns)
     key = canonical_key(original)
     zeros = [[0] * k] * data.draw(st.integers(0, 2))
     ps2 = data.draw(st.permutations(_rescaled(data, ps, (1,)) + zeros))
+    if data.draw(st.booleans()):
+        ps2 = [[-x for x in v] for v in ps2]
     ns2 = data.draw(st.permutations(_rescaled(data, ns, (1, -1)) + zeros))
     variant = inst(k, ps2, ns2)
     assert canonical_key(variant) == key
     verdict = is_balanced(original).balanced
-    assert is_balanced(variant).balanced == verdict == is_balanced_bruteforce(original)
+    assert is_balanced(variant).balanced == verdict == is_balanced_bruteforce(original) \
+        == is_balanced_bruteforce(variant)
 
     _, kp, kn = key
     assert list(kp) == sorted(set(kp)) and list(kn) == sorted(set(kn))
+    assert list(kp) <= sorted(tuple(-x for x in v) for v in kp)
     for v in kp + kn:
         assert all(type(x) is int for x in v) and math.gcd(*v) == 1
     assert all(next(x for x in v if x) > 0 for v in kn)

@@ -249,8 +249,8 @@ def test_an_unbalanced_flexible_datum_raises(spec, bl, decos, reason):
 
 
 def _as_rows(prop):
-    return prop.block_status, [(p.root.label, p.status, p.forced_tag, p.derived_from,
-                                p.flipped) for p in prop.adjoint]
+    return prop.block_status, [(p.root.label, s, p.forced_tag, p.derived_from,
+                                p.flipped) for p, s in zip(prop.rules, prop.statuses)]
 
 
 def test_substituted_statuses_equal_a_fresh_propagation():

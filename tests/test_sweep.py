@@ -117,7 +117,7 @@ def test_memoized_sweep_equals_the_unmemoized_one(monkeypatch, family, bound):
 
 
 def _rows(prop):
-    return prop.block_status, [(p.root.label, p.status) for p in prop.adjoint]
+    return prop.block_status, [(p.root.label, s) for p, s in zip(prop.rules, prop.statuses)]
 
 
 def _read(verdict):

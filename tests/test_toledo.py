@@ -92,8 +92,8 @@ def test_propagation_is_idempotent():
     p1 = propagate_constraints(spec, sys, decos)
     as_decos = [Decoration(lbl, st) for lbl, st in p1.block_status.items()]
     p2 = propagate_constraints(spec, sys, as_decos)
-    assert [(x.root.label, x.status, x.forced_tag) for x in p1.adjoint] == \
-           [(x.root.label, x.status, x.forced_tag) for x in p2.adjoint]
+    assert [(x.root.label, s, x.forced_tag) for x, s in zip(p1.rules, p1.statuses)] == \
+           [(x.root.label, s, x.forced_tag) for x, s in zip(p2.rules, p2.statuses)]
 
 
 def test_maximal_on_nonvanishing_rejected():
@@ -108,16 +108,17 @@ def test_double_weights_forced_with_tag():
     sys = root_system(spec, [blocks.imag_pair(1, 1, (1, 0)),
                              blocks.zero_block(2, (1, 1))])
     prop = propagate_constraints(spec, sys, [])
-    doubles = [p for p in prop.adjoint if p.root.source[0] == "wedge"]
-    assert doubles and all(p.status == Status.NON_MAXIMAL and
-                           p.forced_tag == TAG_DOUBLE for p in doubles)
+    doubles = [(p, s) for p, s in zip(prop.rules, prop.statuses)
+               if p.root.source[0] == "wedge"]
+    assert doubles and all(s == Status.NON_MAXIMAL and
+                           p.forced_tag == TAG_DOUBLE for p, s in doubles)
 
 
 def test_nonvanishing_weight_spaces_forced():
     spec = groups.sl_r(4)
     sys = root_system(spec, [blocks.conj_pair(2, 1)])
     prop = propagate_constraints(spec, sys, [])
-    pure = [p for p in prop.adjoint if p.root.pure_imaginary]
+    pure = [p for p in prop.rules if p.root.pure_imaginary]
     assert pure and all(p.forced_tag == TAG_VANISHING for p in pure)
 
 
@@ -127,7 +128,7 @@ def test_split_orthogonal_pathway_forced():
                              blocks.zero_block(4, (2, 2))])
     prop = propagate_constraints(spec, sys,
                                  [Decoration("0", Status.MAXIMAL_POSITIVE)])
-    zero_paths = [p for p in prop.adjoint if "0" in p.root.source]
+    zero_paths = [p for p in prop.rules if "0" in p.root.source]
     assert zero_paths and all(p.forced_tag == TAG_SPLIT_ORTH for p in zero_paths)
 
 
@@ -137,9 +138,10 @@ def test_parity_rule_kills_even_half_dimension():
                              blocks.zero_block(6, (3, 3))])
     prop = propagate_constraints(spec, sys,
                                  [Decoration("0", Status.MAXIMAL_POSITIVE)])
-    zero_paths = [p for p in prop.adjoint if "0" in p.root.source]
-    assert zero_paths and all(p.status == Status.NON_MAXIMAL and
-                              p.forced_tag == TAG_VANISHING for p in zero_paths)
+    zero_paths = [(p, s) for p, s in zip(prop.rules, prop.statuses)
+                  if "0" in p.root.source]
+    assert zero_paths and all(s == Status.NON_MAXIMAL and
+                              p.forced_tag == TAG_VANISHING for p, s in zero_paths)
 
 
 def test_conjugation_symmetry_after_propagation():
@@ -158,7 +160,7 @@ def test_conjugation_symmetry_after_propagation():
     for spec, bl, decos in cases:
         sys = root_system(spec, bl)
         prop = propagate_constraints(spec, sys, decos)
-        lookup = {(p.root.re, p.root.im): p.status for p in prop.adjoint}
+        lookup = {(p.root.re, p.root.im): s for p, s in zip(prop.rules, prop.statuses)}
         for (re, im), st in lookup.items():
             neg = (tuple(-x for x in re), tuple(-x for x in im))
             assert neg in lookup
@@ -171,7 +173,7 @@ def test_conjugation_symmetry_after_propagation():
 def test_forced_statuses_carry_known_tags():
     spec, sys = _su_rigid_system()
     prop = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
-    for p in prop.adjoint:
+    for p in prop.rules:
         if p.forced_tag is not None:
             assert p.forced_tag in ALL_TAGS
 
@@ -352,14 +354,14 @@ def test_propagation_follows_the_toledo_laws():
                     mirror = s if spec.eta_epsilon == -1 else \
                         toledo_conjugate(ToledoData(s)).status
                     assert prop.block_status[r.negation] == mirror, (spec.describe(), label)
-            for p in prop.adjoint:
+            for p, status in zip(prop.rules, prop.statuses):
                 if p.derived_from is None:
                     continue
                 assert p.derived_from in p.root.source[1:]
-                assert p.status == _law_status(std, prop, p.root), \
+                assert status == _law_status(std, prop, p.root), \
                     (spec.describe(), p.root.label)
-                if p.status in maximal:
-                    if p.status != prop.block_status[p.derived_from]:
+                if status in maximal:
+                    if status != prop.block_status[p.derived_from]:
                         conjugated += 1
                     else:
                         kept += 1
