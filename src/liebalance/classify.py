@@ -132,7 +132,7 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
                            genus_bound_ok=genus_ok, unknown=unknowns)
 
     outcomes = [_decide(spec, system, prop.substituted(assignment), genus_ok, decide)
-                for assignment in assignments(prop.std, unknowns)]
+                for assignment in assignments(unknowns)]
     if all(o.outcome == "flexible" for o in outcomes):
         return FlexVerdict("flexible", "balanced_under_all_assignments",
                            genus_bound_ok=genus_ok, certificate=outcomes[0].certificate)
@@ -140,14 +140,12 @@ def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
                        genus_bound_ok=genus_ok, unknown=unknowns)
 
 
-def assignments(std, labels: Sequence[str]):
-    """Every legal list of (label, status) over the labelled standard
-    weights: maximal only where the signature vanishes, all non-maximal
-    first."""
-    choices = [(Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
-               if std[label].sig.is_vanishing() else (Status.NON_MAXIMAL,)
-               for label in labels]
-    for combo in itertools.product(*choices):
+def assignments(labels: Sequence[str]):
+    """Every list of (label, status) over the labelled standard weights, all
+    non-maximal first. Each label's signature vanishes: sweeps target only
+    such weights, and every rule derives its status from one."""
+    choices = (Status.NON_MAXIMAL, Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
+    for combo in itertools.product(choices, repeat=len(labels)):
         yield list(zip(labels, combo))
 
 

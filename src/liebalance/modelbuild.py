@@ -5,12 +5,16 @@ C^n is cut into one slice per standard weight space, in the order of the
 root system's weights (block order, then the order of ``blocks.WEIGHTS``).
 The center is read from the weights: element c acts on each weight's slice
 by the scalar re[c] + i im[c]. The invariant form, the antilinear map tau
-(for real and quaternionic forms) and the sesquilinear form (for SU) are
-built per block kind, independently of the weights. The construction doubles
-as a realizability witness for the scenario vocabulary; all structural
-identities (tau^2 = eta, form compatibility, the center consisting of fixed
-skew elements, the declared weight-space signatures) are verified exactly at
-build time, so a weight that disagrees with the block's forms is rejected.
+(for real and quaternionic forms) and the sesquilinear form (for SU) come
+from one short rule per block kind, independently of the weights: each
+reads only the slice starts, the block's dimension and signature, and the
+group's eta, epsilon and eta*epsilon, and only the zero block's rule depends
+on the family. So every T, B and s has one unit (+-1, +-i) in each row and
+column. The construction doubles as a realizability witness for the
+scenario vocabulary; all structural identities (tau^2 = eta, form
+compatibility, the center consisting of fixed skew elements, the declared
+weight-space signatures) are verified exactly at build time, so a weight
+that disagrees with the block's forms is rejected.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .exact import (GaussianRational, I, ONE, ZERO, is_hermitian, signature_of)
+from .blocks import Block
+from .exact import (GaussianRational, I, ONE, ZERO, Signature, is_hermitian, signature_of)
 from .groups import Family, GroupSpec
 from .roots import RootSystem
 from . import linalg
@@ -87,12 +92,12 @@ class MatrixModel:
 
 def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
     n = spec.ambient_dim
-    fam = spec.family
-    eps = spec.epsilon
     eta = spec.eta
     B = linalg.zeros(n) if spec.is_orthogonal_like else None
-    s = linalg.zeros(n) if fam == Family.SU else None
+    s = linalg.zeros(n) if spec.family == Family.SU else None
     T = linalg.zeros(n) if eta is not None else None
+    tau = GQ.of(eta) if eta is not None else None
+    eps = GQ.of(spec.epsilon) if spec.epsilon is not None else None
 
     # one slice per weight space, in block order and each block's table order
     slices: Dict[str, Tuple[int, int]] = {}
@@ -104,117 +109,96 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
         pos += r.dim
     assert pos == n
 
+    # one rule per kind: tau pairs the slices it swaps with (1, eta) and is
+    # the identity or j on those it fixes, B pairs dual slices with
+    # (1, epsilon), and an SL(n,C) class carries no form
     for b in system.blocks:
-        d = b.d_eff
-        at = starts[b.label]
+        d, at = b.d_eff, starts[b.label]
         if b.kind == "real_cls":
-            st, = at
-            if fam == Family.SL_R:
-                for k in range(d):
-                    T[st + k][st + k] = ONE
-            else:  # SL_H, d even
-                h = d // 2
-                for k in range(h):
-                    T[st + k][st + h + k] = -ONE
-                    T[st + h + k][st + k] = ONE
+            _tau_stable(T, at[0], d, eta)
         elif b.kind == "conj_pair":
-            p, q = at
-            for k in range(d):
-                T[q + k][p + k] = ONE
-                T[p + k][q + k] = GQ.of(eta)
+            _pair(T, *at, ONE, tau, d)
         elif b.kind == "sesq_self":
-            st, = at
-            for k in range(d):
-                s[st + k][st + k] = ONE if k < b.sig.pos else -ONE
+            signs = _signs(b.sig, ONE)
+            _pair(s, at[0], at[0], signs, signs, d)
         elif b.kind == "sesq_pair":
-            p, q = at
-            for k in range(d):
-                s[p + k][q + k] = ONE
-                s[q + k][p + k] = ONE
+            _pair(s, *at, ONE, ONE, d)
         elif b.kind == "imag_pair":
-            lpos, lneg = at
-            for k in range(d):
-                T[lneg + k][lpos + k] = ONE
-                T[lpos + k][lneg + k] = GQ.of(eta)
-            for k in range(d):
-                diag = ONE if k < b.sig.pos else -ONE
-                skl = diag if spec.eta_epsilon == +1 else -I * diag
-                B[lneg + k][lpos + k] = skl
-                B[lpos + k][lneg + k] = GQ.of(eps) * skl
+            # a sign per coordinate, times -i where s is skew
+            signs = _signs(b.sig, ONE if spec.eta_epsilon == +1 else -I)
+            _pair(T, *at, ONE, tau, d)
+            _pair(B, *at, signs, [eps * u for u in signs], d)
         elif b.kind == "split_pair":
-            lpos, lneg = at
-            for st in at:
-                if eta == +1:
-                    for k in range(d):
-                        T[st + k][st + k] = ONE
-                else:
-                    h = d // 2
-                    for k in range(h):
-                        T[st + k][st + h + k] = -ONE
-                        T[st + h + k][st + k] = ONE
-            for k in range(d):
-                B[lpos + k][lneg + k] = ONE
-                B[lneg + k][lpos + k] = GQ.of(eps)
+            _tau_stable(T, at[0], d, eta)
+            _tau_stable(T, at[1], d, eta)
+            _pair(B, at[1], at[0], ONE, eps, d)
         elif b.kind == "quad_pair":
-            p, pm, qq, qm = at
-            for k in range(d):
-                T[qq + k][p + k] = ONE
-                T[p + k][qq + k] = GQ.of(eta)
-                T[qm + k][pm + k] = ONE
-                T[pm + k][qm + k] = GQ.of(eta)
-            for k in range(d):
-                for u, v in ((p, pm), (qq, qm)):
-                    B[u + k][v + k] = ONE
-                    B[v + k][u + k] = GQ.of(eps)
+            p, pm, q, qm = at
+            _pair(T, p, q, ONE, tau, d)
+            _pair(T, pm, qm, ONE, tau, d)
+            _pair(B, pm, p, ONE, eps, d)
+            _pair(B, qm, q, ONE, eps, d)
         elif b.kind == "dual_pair":
-            p, q = at
-            for k in range(d):
-                B[p + k][q + k] = ONE
-                B[q + k][p + k] = GQ.of(eps)
+            _pair(B, at[1], at[0], ONE, eps, d)
         elif b.kind == "zero":
-            d0 = b.dim
-            st, = at
-            if fam == Family.SO:
-                for k in range(d0):
-                    T[st + k][st + k] = ONE
-                    B[st + k][st + k] = ONE if k < b.sig.pos else -ONE
-            elif fam == Family.SP_R:
-                h = d0 // 2
-                for k in range(d0):
-                    T[st + k][st + k] = ONE
-                for k in range(h):
-                    B[st + k][st + h + k] = ONE
-                    B[st + h + k][st + k] = -ONE
-            elif fam == Family.SO_STAR:
-                for c in range(d0 // 2):
-                    a0, b0 = st + 2 * c, st + 2 * c + 1
-                    T[a0][b0] = -ONE
-                    T[b0][a0] = ONE
-                    B[a0][b0] = -I
-                    B[b0][a0] = -I
-            elif fam == Family.SP:
-                # cells realizing s-signature (2,0) (h-sign -1) come first
-                n_minus = b.sig.pos // 2
-                for c in range(d0 // 2):
-                    a0, b0 = st + 2 * c, st + 2 * c + 1
-                    T[a0][b0] = -ONE
-                    T[b0][a0] = ONE
-                    delta = -ONE if c < n_minus else ONE
-                    B[a0][b0] = delta
-                    B[b0][a0] = -delta
-            elif fam == Family.SO_C:
-                for k in range(d0):
-                    B[st + k][st + k] = ONE
-            elif fam == Family.SP_C:
-                h = d0 // 2
-                for k in range(h):
-                    B[st + k][st + h + k] = ONE
-                    B[st + h + k][st + k] = -ONE
+            _zero_forms(spec, b, at[0], T, B, eps)
 
     model = MatrixModel(spec, system, n, B, s, T, eta, slices)
     model.center = build_center_basis(model)
     _verify_model(model)
     return model
+
+
+def _pair(m: Mat, a: int, b: int, x, y, d: int) -> None:
+    """Pair slice a with slice b: x at [b+k][a+k] and y at [a+k][b+k] for
+    k < d, each one unit for every k or a list of one unit per k. With
+    a = b and x = y it writes a diagonal."""
+    xs = x if isinstance(x, list) else [x] * d
+    ys = y if isinstance(y, list) else [y] * d
+    for k in range(d):
+        m[b + k][a + k] = xs[k]
+        m[a + k][b + k] = ys[k]
+
+
+def _tau_stable(T: Mat, a: int, d: int, eta: int) -> None:
+    """tau on a slice it fixes: the identity, or for eta = -1 the half-split
+    j, which sends the first half to the second and the second to minus the
+    first."""
+    if eta == +1:
+        _pair(T, a, a, ONE, ONE, d)
+    else:
+        _pair(T, a, a + d // 2, ONE, -ONE, d // 2)
+
+
+def _signs(sig: Signature, unit: GQ) -> List[GQ]:
+    """unit on the positive coordinates of a signature, -unit on the rest."""
+    return [unit] * sig.pos + [-unit] * sig.neg
+
+
+def _zero_forms(spec: GroupSpec, b: Block, a: int, T: Optional[Mat], B: Mat,
+                eps: GQ) -> None:
+    """The zero block, the one rule that depends on the family."""
+    d0 = b.dim
+    if spec.family in (Family.SO_STAR, Family.SP):
+        # interleaved 2-cells, each carrying j; for Sp(p,q) the cells
+        # realizing s-signature (2,0) (h-sign -1) come first
+        for c in range(d0 // 2):
+            a0 = a + 2 * c
+            _tau_stable(T, a0, 2, spec.eta)
+            if spec.family == Family.SO_STAR:
+                u = -I
+            else:
+                u = -ONE if c < b.sig.pos // 2 else ONE
+            _pair(B, a0, a0 + 1, eps * u, u, 1)
+        return
+    if T is not None:
+        _tau_stable(T, a, d0, spec.eta)
+    if spec.epsilon == +1:
+        # SO(p,q) carries the declared signs, SO(n,C) the identity
+        signs = _signs(b.sig, ONE) if b.sig is not None else ONE
+        _pair(B, a, a, signs, signs, d0)
+    else:
+        _pair(B, a + d0 // 2, a, ONE, eps, d0 // 2)
 
 
 def _verify_model(model: MatrixModel):

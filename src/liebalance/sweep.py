@@ -157,7 +157,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
                 res.tag_violations.append(
                     f"{spec.describe()}/{rule.root.label}: untagged forcing")
         targets = _decoration_targets(system)[:MAX_DECORATIONS]
-        for assignment in assignments(base.std, targets):
+        for assignment in assignments(targets):
             try:
                 verdict = classify(spec, surface, system, base.substituted(assignment),
                                    decide_here)

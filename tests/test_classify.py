@@ -274,7 +274,7 @@ def test_substituted_statuses_equal_a_fresh_propagation():
             unknowns = prop.unknown_blocks()
             if len(unknowns) > 4:
                 continue
-            for assignment in assignments(prop.std, unknowns):
+            for assignment in assignments(unknowns):
                 fresh = propagate_constraints(
                     spec, system, decos + [Decoration(l, s) for l, s in assignment])
                 assert _as_rows(prop.substituted(assignment)) == \

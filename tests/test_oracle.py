@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given
 
 from liebalance import blocks, groups, linalg
-from liebalance.exact import ONE, ZERO, gmat, is_hermitian, signature_of
+from liebalance.exact import I, ONE, ZERO, GaussianRational as GQ, gmat, is_hermitian, signature_of
 from liebalance.groups import Family
-from liebalance.modelbuild import Mat, MatrixModel, build_model
+from liebalance.modelbuild import Mat, MatrixModel, build_center_basis, build_model
 from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
                                _ad_matrices, _algebra_basis, brute_force_roots,
                                compare_reports, oracle_check, synthesize_model)
@@ -424,6 +424,187 @@ def test_diagnostics_clear_their_tolerances_on_demo_scenarios(path):
     assert rep.max_gram_residual * margin <= GRAM_TOL
     assert rep.max_sigma_residual * margin <= SIGMA_TOL
     assert rep.sigma_equivariant
+
+
+# --- the forms: one rule per block kind ---------------------------------------
+# The per-kind, per-family chain below is how T, B and s were written before
+# the rules of `build_model`, which must give the same matrices. Every form is
+# monomial, one unit per row and column, and every center element diagonal.
+
+def _reference_model(spec, system) -> MatrixModel:
+    """The per-kind chain `build_model` once wrote T, B and s with, kept
+    unverified as the reference for its rules."""
+    n = spec.ambient_dim
+    fam = spec.family
+    eps = spec.epsilon
+    eta = spec.eta
+    B = linalg.zeros(n) if spec.is_orthogonal_like else None
+    s = linalg.zeros(n) if fam == Family.SU else None
+    T = linalg.zeros(n) if eta is not None else None
+
+    # one slice per weight space, in block order and each block's table order
+    slices, starts = {}, {}
+    pos = 0
+    for r in system.standard + ([system.zero] if system.zero is not None else []):
+        slices[r.label] = (pos, r.dim)
+        starts.setdefault(r.block_label, []).append(pos)
+        pos += r.dim
+    assert pos == n
+
+    for b in system.blocks:
+        d = b.d_eff
+        at = starts[b.label]
+        if b.kind == "real_cls":
+            st, = at
+            if fam == Family.SL_R:
+                for k in range(d):
+                    T[st + k][st + k] = ONE
+            else:  # SL_H, d even
+                h = d // 2
+                for k in range(h):
+                    T[st + k][st + h + k] = -ONE
+                    T[st + h + k][st + k] = ONE
+        elif b.kind == "conj_pair":
+            p, q = at
+            for k in range(d):
+                T[q + k][p + k] = ONE
+                T[p + k][q + k] = GQ.of(eta)
+        elif b.kind == "sesq_self":
+            st, = at
+            for k in range(d):
+                s[st + k][st + k] = ONE if k < b.sig.pos else -ONE
+        elif b.kind == "sesq_pair":
+            p, q = at
+            for k in range(d):
+                s[p + k][q + k] = ONE
+                s[q + k][p + k] = ONE
+        elif b.kind == "imag_pair":
+            lpos, lneg = at
+            for k in range(d):
+                T[lneg + k][lpos + k] = ONE
+                T[lpos + k][lneg + k] = GQ.of(eta)
+            for k in range(d):
+                diag = ONE if k < b.sig.pos else -ONE
+                skl = diag if spec.eta_epsilon == +1 else -I * diag
+                B[lneg + k][lpos + k] = skl
+                B[lpos + k][lneg + k] = GQ.of(eps) * skl
+        elif b.kind == "split_pair":
+            lpos, lneg = at
+            for st in at:
+                if eta == +1:
+                    for k in range(d):
+                        T[st + k][st + k] = ONE
+                else:
+                    h = d // 2
+                    for k in range(h):
+                        T[st + k][st + h + k] = -ONE
+                        T[st + h + k][st + k] = ONE
+            for k in range(d):
+                B[lpos + k][lneg + k] = ONE
+                B[lneg + k][lpos + k] = GQ.of(eps)
+        elif b.kind == "quad_pair":
+            p, pm, qq, qm = at
+            for k in range(d):
+                T[qq + k][p + k] = ONE
+                T[p + k][qq + k] = GQ.of(eta)
+                T[qm + k][pm + k] = ONE
+                T[pm + k][qm + k] = GQ.of(eta)
+            for k in range(d):
+                for u, v in ((p, pm), (qq, qm)):
+                    B[u + k][v + k] = ONE
+                    B[v + k][u + k] = GQ.of(eps)
+        elif b.kind == "dual_pair":
+            p, q = at
+            for k in range(d):
+                B[p + k][q + k] = ONE
+                B[q + k][p + k] = GQ.of(eps)
+        elif b.kind == "zero":
+            d0 = b.dim
+            st, = at
+            if fam == Family.SO:
+                for k in range(d0):
+                    T[st + k][st + k] = ONE
+                    B[st + k][st + k] = ONE if k < b.sig.pos else -ONE
+            elif fam == Family.SP_R:
+                h = d0 // 2
+                for k in range(d0):
+                    T[st + k][st + k] = ONE
+                for k in range(h):
+                    B[st + k][st + h + k] = ONE
+                    B[st + h + k][st + k] = -ONE
+            elif fam == Family.SO_STAR:
+                for c in range(d0 // 2):
+                    a0, b0 = st + 2 * c, st + 2 * c + 1
+                    T[a0][b0] = -ONE
+                    T[b0][a0] = ONE
+                    B[a0][b0] = -I
+                    B[b0][a0] = -I
+            elif fam == Family.SP:
+                # cells realizing s-signature (2,0) (h-sign -1) come first
+                n_minus = b.sig.pos // 2
+                for c in range(d0 // 2):
+                    a0, b0 = st + 2 * c, st + 2 * c + 1
+                    T[a0][b0] = -ONE
+                    T[b0][a0] = ONE
+                    delta = -ONE if c < n_minus else ONE
+                    B[a0][b0] = delta
+                    B[b0][a0] = -delta
+            elif fam == Family.SO_C:
+                for k in range(d0):
+                    B[st + k][st + k] = ONE
+            elif fam == Family.SP_C:
+                h = d0 // 2
+                for k in range(h):
+                    B[st + k][st + h + k] = ONE
+                    B[st + h + k][st + k] = -ONE
+
+    model = MatrixModel(spec, system, n, B, s, T, eta, slices)
+    model.center = build_center_basis(model)
+    return model
+
+
+def _model_draws():
+    for fam in Family:
+        for s in range(20):
+            yield random_scenario(fam, random.Random(s), cap=12)
+    for path in SCENARIOS:
+        sc = load(str(path))
+        yield sc.spec, sc.blocks
+
+
+def test_forms_equal_the_per_kind_chain():
+    for spec, bl in _model_draws():
+        system = root_system(spec, bl)
+        model, ref = build_model(spec, system), _reference_model(spec, system)
+        assert (model.T, model.B, model.s, model.slices, model.center) == \
+            (ref.T, ref.B, ref.s, ref.slices, ref.center), spec.describe()
+
+
+UNITS = {ONE, -ONE, I, -I}
+
+
+def _is_monomial(m: Mat) -> bool:
+    """Exactly one nonzero entry in each row and each column, and it is a unit."""
+    nonzero = [(i, j) for i, row in enumerate(m) for j, x in enumerate(row) if not x.is_zero()]
+    n = len(m)
+    return (sorted(i for i, _ in nonzero) == list(range(n))
+            and sorted(j for _, j in nonzero) == list(range(n))
+            and all(m[i][j] in UNITS for i, j in nonzero))
+
+
+def test_forms_are_monomial_and_the_center_diagonal():
+    seen = set()
+    for spec, bl in _model_draws():
+        model = build_model(spec, root_system(spec, bl))
+        for name in ("T", "B", "s"):
+            form = getattr(model, name)
+            if form is not None:
+                assert _is_monomial(form), (spec.describe(), name)
+                seen.add((spec.family, name))
+        for z in model.center:
+            assert all(x.is_zero() for i, row in enumerate(z)
+                       for j, x in enumerate(row) if i != j), spec.describe()
+    assert len(seen) == 13   # T in six families, B in six, s in SU
 
 
 # --- mutations of the weight table ------------------------------------------

@@ -149,6 +149,8 @@ def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
         system = roots.root_system(spec, bl)
         surface = SurfaceData(genus=spec.genus_bound())
         targets = sweep._decoration_targets(system)[:sweep.MAX_DECORATIONS]
+        std = system.standard_by_label()
+        assert all(std[t].sig.is_vanishing() for t in targets), spec.describe()
         for combo in itertools.product(statuses, repeat=len(targets)):
             decos = [Decoration(t, st) for t, st in zip(targets, combo)]
             prop = propagate_constraints(spec, system, decos, surface)

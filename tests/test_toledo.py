@@ -358,6 +358,8 @@ def test_propagation_follows_the_toledo_laws():
                 if p.derived_from is None:
                     continue
                 assert p.derived_from in p.root.source[1:]
+                # so every enumerated unknown may take each status
+                assert std[p.derived_from].sig.is_vanishing(), (spec.describe(), p.root.label)
                 assert status == _law_status(std, prop, p.root), \
                     (spec.describe(), p.root.label)
                 if status in maximal:
