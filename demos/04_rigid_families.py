@@ -10,16 +10,14 @@ odd SO*(2m) shape. Small exhaustive sweeps reproduce this here.
 from liebalance import blocks, groups
 from liebalance.classify import classify
 from liebalance.roots import root_system
-from liebalance.sweep import run_sweep, summary_table
+from liebalance.sweep import run_sweep
 from liebalance.groups import Family
-from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
+from liebalance.toledo import Decoration, Status, propagate_constraints
 
 
 def run(spec, data, decos=()):
-    system = root_system(spec, data)
-    surface = SurfaceData(genus=spec.genus_bound())
-    prop = propagate_constraints(spec, system, list(decos), surface)
-    verdict = classify(spec, surface, system, prop)
+    # each stage takes the one before it: blocks, root system, statuses, verdict
+    verdict = classify(propagate_constraints(root_system(spec, data), list(decos)))
     out = verdict.outcome + (f" ({verdict.descriptor})" if verdict.descriptor else "")
     return out + f"   [{verdict.reason}]"
 

@@ -147,6 +147,13 @@ WEIGHTS = {
 _KIND_ORDER = [*WEIGHTS, "zero"]
 
 
+def status_weight(b: Block) -> str:
+    """The standard weight that carries a signed block's status: the zero
+    weight, or the block's first weight. A weight and its negation carry
+    mirrored statuses, so the first speaks for the block."""
+    return "0" if b.kind == "zero" else f"{b.label}:{WEIGHTS[b.kind][0][0]}"
+
+
 def ambient_contribution(b: Block) -> int:
     """Dimension of the standard representation the block covers."""
     return b.dim if b.kind == "zero" else len(WEIGHTS[b.kind]) * b.d_eff

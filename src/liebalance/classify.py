@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .balance import BalancednessCertificate, BalancednessInstance, is_balanced
-from .blocks import WEIGHTS, Block, ScenarioError
-from .groups import Family, GroupSpec
+from .blocks import ScenarioError, status_weight
+from .groups import Family
 from .roots import RootSystem
-from .toledo import Propagation, Status, SurfaceData, toledo_direct_sum
+from .toledo import Propagation, Status, toledo_direct_sum
 
 
 class InternalConsistencyError(RuntimeError):
@@ -39,7 +39,6 @@ class FlexVerdict:
     outcome: str                 # "flexible" | "rigid_maximal" | "indeterminate"
     reason: str
     descriptor: Optional[str] = None
-    genus_bound_ok: bool = True
     certificate: Optional[BalancednessCertificate] = None
     unknown: List[str] = field(default_factory=list)
 
@@ -66,12 +65,12 @@ def balance_vectors(parts: Iterable[Tuple[Sequence, Sequence]], statuses: Iterab
     return p_vecs, n_vecs
 
 
-def balance_instance(system: RootSystem, prop: Propagation) -> BalancednessInstance:
+def balance_instance(prop: Propagation) -> BalancednessInstance:
     """The instance of `balance_vectors` on the propagation's adjoint
     weights, zero vectors and repeats dropped."""
     p_vecs, n_vecs = balance_vectors(((r.root.re, r.root.im) for r in prop.rules),
                                      prop.statuses)
-    return BalancednessInstance.make(system.dim_c, _distinct_nonzero(p_vecs),
+    return BalancednessInstance.make(prop.system.dim_c, _distinct_nonzero(p_vecs),
                                      _distinct_nonzero(n_vecs))
 
 
@@ -80,7 +79,8 @@ def _distinct_nonzero(vecs):
     return list(dict.fromkeys(v for v in vecs if any(x != 0 for x in v)))
 
 
-def _short_circuit(spec: GroupSpec, system: RootSystem) -> Optional[str]:
+def _short_circuit(system: RootSystem) -> Optional[str]:
+    spec = system.spec
     if spec.is_complex:
         return "complex_group"
     if spec.is_compact:
@@ -94,50 +94,46 @@ def _short_circuit(spec: GroupSpec, system: RootSystem) -> Optional[str]:
     return None
 
 
-Decide = Callable[[RootSystem, Propagation], BalancednessCertificate]
+Decide = Callable[[Propagation], BalancednessCertificate]
 
 
-def decide_afresh(system: RootSystem, prop: Propagation) -> BalancednessCertificate:
+def decide_afresh(prop: Propagation) -> BalancednessCertificate:
     """The certificate of the propagation's own balancedness instance, from
     `is_balanced` as bound in this module when called."""
-    return is_balanced(balance_instance(system, prop))
+    return is_balanced(balance_instance(prop))
 
 
-def classify(spec: GroupSpec, surface: SurfaceData, system: RootSystem,
-             prop: Propagation, decide: Optional[Decide] = None) -> FlexVerdict:
+def classify(prop: Propagation, decide: Optional[Decide] = None) -> FlexVerdict:
     """Decide the verdict of a propagation. Statuses it leaves unknown are
     enumerated and substituted into it. Every balancedness question goes to
-    `decide(system, prop)`, by default `decide_afresh`; a sweep passes its
-    own memo, which reads only the certificate's outcome."""
+    `decide(prop)`, by default `decide_afresh`; a sweep passes its own memo,
+    which reads only the certificate's outcome."""
     decide = decide or decide_afresh
-    genus_ok = surface.genus_bound_ok(spec)
 
     # a nonzero X in c that every adjoint weight kills is central in g, so
     # the weights span c* exactly when g is semisimple or c is zero
-    if system.dim_c > 0 and not spec.is_semisimple:
+    if prop.system.dim_c > 0 and not prop.system.spec.is_semisimple:
         raise ScenarioError(
             "adjoint weights do not span: the datum is not the center of a "
             "centralizer in a semisimple group")
 
-    reason = _short_circuit(spec, system)
+    reason = _short_circuit(prop.system)
     if reason is not None:
         # no short-circuited group has a rigid shape, so each must balance
-        return _decide(spec, system, prop, genus_ok, decide, reason)
+        return _decide(prop, decide, reason)
 
     unknowns = prop.unknown_blocks()
     if not unknowns:
-        return _decide(spec, system, prop, genus_ok, decide)
+        return _decide(prop, decide)
     if len(unknowns) > MAX_UNKNOWN_ENUMERATION:
-        return FlexVerdict("indeterminate", "too_many_unknowns",
-                           genus_bound_ok=genus_ok, unknown=unknowns)
+        return FlexVerdict("indeterminate", "too_many_unknowns", unknown=unknowns)
 
-    outcomes = [_decide(spec, system, prop.substituted(assignment), genus_ok, decide)
+    outcomes = [_decide(prop.substituted(assignment), decide)
                 for assignment in assignments(unknowns)]
     if all(o.outcome == "flexible" for o in outcomes):
         return FlexVerdict("flexible", "balanced_under_all_assignments",
-                           genus_bound_ok=genus_ok, certificate=outcomes[0].certificate)
-    return FlexVerdict("indeterminate", "undetermined_maximality",
-                       genus_bound_ok=genus_ok, unknown=unknowns)
+                           certificate=outcomes[0].certificate)
+    return FlexVerdict("indeterminate", "undetermined_maximality", unknown=unknowns)
 
 
 def assignments(labels: Sequence[str]):
@@ -149,25 +145,22 @@ def assignments(labels: Sequence[str]):
         yield list(zip(labels, combo))
 
 
-def _decide(spec, system, prop: Propagation, genus_ok, decide: Decide,
-            reason: str = "balanced") -> FlexVerdict:
+def _decide(prop: Propagation, decide: Decide, reason: str = "balanced") -> FlexVerdict:
     """Decide balancedness and hold the outcome to the theorem: unbalanced
     exactly when the datum has a rigid shape."""
-    cert = decide(system, prop)
-    shape = rigid_shape(spec, system.blocks, prop.block_status)
+    cert = decide(prop)
+    shape = rigid_shape(prop)
     if cert.balanced == (shape is not None):
         found = f"the rigid shape {shape}" if shape else "no rigid shape"
         raise InternalConsistencyError(
-            f"{spec.describe()} datum with {found} came out "
+            f"{prop.system.spec.describe()} datum with {found} came out "
             f"{'balanced' if cert.balanced else 'unbalanced'}")
     if cert.balanced:
-        return FlexVerdict("flexible", reason, genus_bound_ok=genus_ok, certificate=cert)
-    return FlexVerdict("rigid_maximal", "unbalanced", descriptor=shape,
-                       genus_bound_ok=genus_ok, certificate=cert)
+        return FlexVerdict("flexible", reason, certificate=cert)
+    return FlexVerdict("rigid_maximal", "unbalanced", descriptor=shape, certificate=cert)
 
 
-def rigid_shape(spec: GroupSpec, blocks: Sequence[Block],
-                block_status: Dict[str, Status]) -> Optional[str]:
+def rigid_shape(prop: Propagation) -> Optional[str]:
     """The rigid shape the datum has, or None: the theorem's statement, read
     from block kinds, signatures and statuses alone.
 
@@ -178,6 +171,7 @@ def rigid_shape(spec: GroupSpec, blocks: Sequence[Block],
     image sit in S(U(h,h) x U(|p-q|)), h = min(p,q); in SO*(2m), m odd, a
     single definite weight pair on a quaternionic line, so the image sits in
     SO*(2m-2) x SO(2)."""
+    spec, blocks = prop.system.spec, prop.system.blocks
     vanishing = [b for b in blocks if b.sig is not None and b.sig.is_vanishing()]
     rest = [b for b in blocks if b.sig is None or not b.sig.is_vanishing()]
     if spec.family == Family.SU:
@@ -190,10 +184,7 @@ def rigid_shape(spec: GroupSpec, blocks: Sequence[Block],
         compact = len(rest) == 1 and rest[0].kind == "imag_pair" and rest[0].d_eff == 1
     else:
         return None
-    # a weight and its negation carry mirrored statuses, so the block's
-    # first weight speaks for it
-    statuses = [block_status["0" if b.kind == "zero" else f"{b.label}:{WEIGHTS[b.kind][0][0]}"]
-                for b in vanishing]
+    statuses = [prop.block_status[status_weight(b)] for b in vanishing]
     maximal = bool(vanishing) and toledo_direct_sum(statuses).status in (
         Status.MAXIMAL_POSITIVE, Status.MAXIMAL_NEGATIVE)
     return shape if compact and maximal else None

@@ -34,7 +34,6 @@ Mat = List[List[GQ]]
 
 @dataclass
 class MatrixModel:
-    spec: GroupSpec
     system: RootSystem
     n: int
     B: Optional[Mat]          # invariant bilinear form, orthogonal-like families
@@ -63,15 +62,15 @@ class MatrixModel:
         """Exact Gram of s_l(v, w) = B(tau v, w) (or of s itself for SU) on each
         standard weight space; i*Gram where s_l is skew."""
         grams = {}
-        skew = self.spec.eta_epsilon == -1
-        for r in _weight_spaces(self.system):
+        skew = self.system.spec.eta_epsilon == -1
+        for r in self.system.standard_by_label().values():
             if r.sig is None:
                 continue
             start, size = self.slices[r.label]
             g = linalg.zeros(size)
             for kk in range(size):
                 for ll in range(size):
-                    if self.spec.family == Family.SU:
+                    if self.system.spec.family == Family.SU:
                         g[kk][ll] = self.s[start + kk][start + ll]
                     else:
                         # s(e_a, e_b) = sum_i T[i][a] B[i][b], with T sparse
@@ -90,7 +89,8 @@ class MatrixModel:
         return grams
 
 
-def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
+def build_model(system: RootSystem) -> MatrixModel:
+    spec = system.spec
     n = spec.ambient_dim
     eta = spec.eta
     B = linalg.zeros(n) if spec.is_orthogonal_like else None
@@ -103,7 +103,7 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
     slices: Dict[str, Tuple[int, int]] = {}
     starts: Dict[str, List[int]] = {}
     pos = 0
-    for r in _weight_spaces(system):
+    for r in system.standard_by_label().values():
         slices[r.label] = (pos, r.dim)
         starts.setdefault(r.block_label, []).append(pos)
         pos += r.dim
@@ -143,7 +143,7 @@ def build_model(spec: GroupSpec, system: RootSystem) -> MatrixModel:
         elif b.kind == "zero":
             _zero_forms(spec, b, at[0], T, B, eps)
 
-    model = MatrixModel(spec, system, n, B, s, T, eta, slices)
+    model = MatrixModel(system, n, B, s, T, eta, slices)
     model.center = build_center_basis(model)
     _verify_model(model)
     return model
@@ -203,7 +203,7 @@ def _zero_forms(spec: GroupSpec, b: Block, a: int, T: Optional[Mat], B: Mat,
 
 def _verify_model(model: MatrixModel):
     n = model.n
-    spec = model.spec
+    spec = model.system.spec
     if model.T is not None:
         tt = linalg.matmul(model.T, linalg.conjugate(model.T))
         expect = GQ.of(model.eta)
@@ -233,7 +233,7 @@ def _verify_model(model: MatrixModel):
             raise AssertionError("sesquilinear form has the wrong signature")
     # declared weight-space signatures are realized
     grams = model.sesq_gram()
-    for r in _weight_spaces(model.system):
+    for r in model.system.standard_by_label().values():
         if r.sig is None:
             continue
         g = grams[r.label]
@@ -259,11 +259,6 @@ def _verify_model(model: MatrixModel):
             tr = sum((z[i][i] for i in range(n)), ZERO)
             if not tr.is_zero():
                 raise AssertionError("center element has nonzero trace")
-
-
-def _weight_spaces(system: RootSystem):
-    """The standard weights, then the zero weight when there is one."""
-    return system.standard + ([system.zero] if system.zero is not None else [])
 
 
 def build_center_basis(model: MatrixModel) -> List[Mat]:

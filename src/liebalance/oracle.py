@@ -81,7 +81,6 @@ class NumericRootReport:
 
 @dataclass
 class FloatModel:
-    spec: GroupSpec
     n: int
     B: Optional[np.ndarray]
     s: Optional[np.ndarray]
@@ -102,12 +101,12 @@ class FloatModel:
 def synthesize_model(system: RootSystem, cap: int = DEFAULT_CAP) -> FloatModel:
     """Exact model of the root system's datum, floated; raises when the
     ambient dimension exceeds the cap."""
-    spec = system.spec
-    if spec.ambient_dim > cap:
-        raise OracleError(f"ambient dimension {spec.ambient_dim} exceeds cap {cap}")
-    exact = build_model(spec, system)
+    n = system.spec.ambient_dim
+    if n > cap:
+        raise OracleError(f"ambient dimension {n} exceeds cap {cap}")
+    exact = build_model(system)
     fm = FloatModel(
-        spec, exact.n,
+        exact.n,
         None if exact.B is None else _to_np(exact.B),
         None if exact.s is None else _to_np(exact.s),
         None if exact.T is None else _to_np(exact.T),
@@ -384,11 +383,8 @@ def compare_reports(system: RootSystem, report: NumericRootReport,
         problems.append("sigma equivariance of weight spaces failed")
 
     # standard level
-    roots = list(system.standard)
-    if system.zero is not None:
-        roots.append(system.zero)
     matched = set()
-    for r in roots:
+    for r in system.standard_by_label().values():
         w = find(report.standard, to_value(r.re, r.im))
         if w is None:
             problems.append(f"standard weight {r.label} not found numerically")

@@ -11,7 +11,6 @@ from . import scenario as sc_mod
 from .blocks import Block
 from .classify import FlexVerdict, InternalConsistencyError, balance_instance, classify
 from .exact import Signature
-from .groups import GroupSpec
 from .oracle import brute_force_roots, compare_reports, synthesize_model
 from .roots import RootSystem, root_system
 from .scenario import Scenario
@@ -48,21 +47,20 @@ def block_factors(b: Block) -> List[str]:
     return [f"GL({b.mult},C)"] * _GL_FACTORS[b.kind]
 
 
-def center_dim_crosscheck(spec: GroupSpec, system: RootSystem) -> Tuple[int, int]:
+def center_dim_crosscheck(system: RootSystem) -> Tuple[int, int]:
     """(number of centralizer factors less one for the trace relation,
     complexified dimension of the center). Equal by construction; the factor
     count does not read the weight table, so it is an independent check."""
     total = sum(len(block_factors(b)) for b in system.blocks)
-    if spec.is_sl_like:
+    if system.spec.is_sl_like:
         total -= 1
-    dim_c_complexified = system.dim_c // 2 if spec.is_complex else system.dim_c
+    dim_c_complexified = system.dim_c // 2 if system.spec.is_complex else system.dim_c
     return total, dim_c_complexified
 
 
 @dataclass
 class RunResult:
     scenario: Scenario
-    system: RootSystem
     propagation: Propagation
     verdict: FlexVerdict
     oracle_problems: Optional[List[str]]
@@ -77,30 +75,29 @@ class RunResult:
 
 def run_scenario(sc: Scenario) -> RunResult:
     system = root_system(sc.spec, sc.blocks)
-    factors, dim_c = center_dim_crosscheck(sc.spec, system)
+    factors, dim_c = center_dim_crosscheck(system)
     if factors != dim_c:
         raise InternalConsistencyError(
             f"factor centers sum to {factors} but the center has dimension {dim_c}")
-    prop = propagate_constraints(sc.spec, system, sc.decorations, sc.surface)
-    verdict = classify(sc.spec, sc.surface, system, prop)
+    prop = propagate_constraints(system, sc.decorations, sc.surface)
+    verdict = classify(prop)
     oracle_problems = None
     if sc.options.oracle:
         fm = synthesize_model(system, sc.options.cap)
         numeric = brute_force_roots(system, fm, sc.options.tolerance, sc.options.seed)
         oracle_problems = compare_reports(system, numeric, sc.options.tolerance)
-    return RunResult(sc, system, prop, verdict, oracle_problems)
+    return RunResult(sc, prop, verdict, oracle_problems)
 
 
 def to_json(res: RunResult) -> Dict:
     sc = res.scenario
-    system = res.system
+    system = res.propagation.system
     factor_list = []
     for b in system.blocks:
         for f in block_factors(b):
             factor_list.append({"block": b.label, "factor": f, "center_dim": 1})
     std = []
-    roots = list(system.standard) + ([system.zero] if system.zero else [])
-    for r in roots:
+    for r in system.standard_by_label().values():
         std.append({
             "label": r.label, "re": _vec(r.re), "im": _vec(r.im), "dim": r.dim,
             "pure_imaginary": r.pure_imaginary, "signature": _sig(r.sig),
@@ -120,7 +117,7 @@ def to_json(res: RunResult) -> Dict:
             entry["derived_from"] = rule.derived_from
             entry["derived_flipped"] = rule.flipped
         adj.append(entry)
-    inst = balance_instance(system, res.propagation)
+    inst = balance_instance(res.propagation)
     cert = res.verdict.certificate
     balance = {
         "ambient_dim": inst.ambient_dim,
@@ -152,7 +149,7 @@ def to_json(res: RunResult) -> Dict:
             "outcome": res.verdict.outcome,
             "reason": res.verdict.reason,
             "descriptor": res.verdict.descriptor,
-            "genus_bound_ok": res.verdict.genus_bound_ok,
+            "genus_bound_ok": sc.surface.genus_bound_ok(sc.spec),
             "unknown": res.verdict.unknown,
         },
     }

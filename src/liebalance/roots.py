@@ -96,11 +96,15 @@ class RootSystem:
     adjoint: List[AdjointRoot]
     dim_g0: int
 
-    def standard_by_label(self) -> Dict[str, StandardRoot]:
-        d = {r.label: r for r in self.standard}
+    def __post_init__(self):
+        self._by_label = {r.label: r for r in self.standard}
         if self.zero is not None:
-            d[self.zero.label] = self.zero
-        return d
+            self._by_label[self.zero.label] = self.zero
+
+    def standard_by_label(self) -> Dict[str, StandardRoot]:
+        """Each standard weight by label, the zero weight last: one table,
+        built with the root system and shared by every reader."""
+        return self._by_label
 
     def dim_audit(self) -> Tuple[int, int]:
         """(sum of weight space dims incl. the zero space, closed-form dim g)."""

@@ -111,10 +111,17 @@ def block_from_json(d: Dict) -> Block:
         if not isinstance(label, str):
             raise ScenarioError(f"block label must be a string, got {label!r}")
         if kind == "sesq_self":
-            return bk.sesq_self(dim, _pair(d["class_sig"]), _pair(d["mult_sig"]), label)
+            # the multiplicity is the total of the multiplicity form
+            block = bk.sesq_self(dim, _pair(d["class_sig"]), _pair(d["mult_sig"]), label)
+            if "mult" in d and mult != block.mult:
+                raise ScenarioError(f"sesq_self mult {mult} differs from the total "
+                                    f"{block.mult} of its mult_sig")
+            return block
         if kind == "imag_pair":
             return bk.imag_pair(dim, mult, _pair(d["sig"]), label)
         if kind == "zero":
+            if mult != 1:
+                raise ScenarioError(f"a zero block has multiplicity 1, got {mult}")
             return bk.zero_block(dim, _pair(d["sig"]) if "sig" in d else None, label)
         # every other kind takes only dim, mult and label
         if isinstance(kind, str) and kind in bk.WEIGHTS:

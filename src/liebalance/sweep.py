@@ -27,7 +27,7 @@ from .classify import InternalConsistencyError, assignments, balance_vectors, cl
 from .exact import Signature
 from .groups import Family
 from .roots import root_system, skeleton, weight_geometry
-from .toledo import ALL_TAGS, SurfaceData, propagate_constraints
+from .toledo import ALL_TAGS, propagate_constraints
 
 
 @dataclass
@@ -92,22 +92,12 @@ def _configurations(family: Family, bound: int) -> List[List[Block]]:
 
 
 def _decoration_targets(system) -> List[str]:
-    targets = []
-    for r in system.standard:
-        # one weight of each pair +-l: the negation's status mirrors it
-        if r.pure_imaginary and r.sig is not None and r.sig.is_vanishing() \
-                and r.negation not in targets:
-            targets.append(r.label)
-    z = system.zero
-    if z is not None and z.sig is not None and z.sig.is_vanishing():
-        targets.append("0")
-    return targets
+    """The weight that carries each vanishing block's status."""
+    return [bk.status_weight(b) for b in system.blocks
+            if b.sig is not None and b.sig.is_vanishing()]
 
 
 MAX_SWEEP_BOUND = 14
-# decoration targets enumerated per configuration; classify enumerates the
-# statuses of any beyond it. SU <= 8 and SO* <= 14 need at most 4.
-MAX_DECORATIONS = 6
 
 
 def run_sweep(family: Family, bound: int) -> SweepResult:
@@ -131,9 +121,9 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     res = SweepResult(family, bound)
     by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
 
-    def decide(parts, system, prop) -> BalancednessCertificate:
+    def decide(parts, prop) -> BalancednessCertificate:
         # prop.statuses and the geometry's parts share the label order
-        key = canonical_key_of(system.dim_c, *balance_vectors(parts, prop.statuses))
+        key = canonical_key_of(prop.system.dim_c, *balance_vectors(parts, prop.statuses))
         cert = by_key.get(key)
         if cert is None:
             cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
@@ -146,8 +136,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
         decide_here = functools.partial(
             decide, geometry(spec.family, skeleton(system.blocks)).adjoint_parts)
         res.configurations += 1
-        surface = SurfaceData(genus=spec.genus_bound())
-        base = propagate_constraints(spec, system, [])
+        base = propagate_constraints(system, [])
         for rule in base.rules:
             if rule.forced_tag is not None and rule.forced_tag not in ALL_TAGS:
                 res.tag_violations.append(
@@ -156,11 +145,9 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
                     and rule.root.pure_imaginary:
                 res.tag_violations.append(
                     f"{spec.describe()}/{rule.root.label}: untagged forcing")
-        targets = _decoration_targets(system)[:MAX_DECORATIONS]
-        for assignment in assignments(targets):
+        for assignment in assignments(_decoration_targets(system)):
             try:
-                verdict = classify(spec, surface, system, base.substituted(assignment),
-                                   decide_here)
+                verdict = classify(base.substituted(assignment), decide_here)
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue

@@ -39,7 +39,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .blocks import ScenarioError
 from .groups import Family, GroupSpec
-from .roots import AdjointRoot, RootSystem, StandardRoot
+from .roots import AdjointRoot, RootSystem
 
 
 class Status(enum.Enum):
@@ -159,10 +159,10 @@ class WeightRule:
 
 @dataclass
 class Propagation:
-    """The standard weights' statuses, and in ``statuses`` each adjoint
-    weight's status read from them through its rule, aligned with ``rules``."""
-    spec: GroupSpec
-    std: Dict[str, StandardRoot]
+    """The statuses of the root system's standard weights, and in
+    ``statuses`` each adjoint weight's status read from them through its
+    rule, aligned with ``rules``."""
+    system: RootSystem
     block_status: Dict[str, Status]
     rules: List[WeightRule]
     statuses: Tuple[Status, ...] = field(init=False)
@@ -184,11 +184,11 @@ class Propagation:
         carried over unchanged. The observable symmetry -- opposite adjoint
         weights carry opposite statuses -- holds either way.
         """
-        negation = self.std[label].negation
+        negation = self.system.standard_by_label()[label].negation
         if not negation or negation == label:
             return [(label, status)]
         return [(label, status),
-                (negation, status if self.spec.eta_epsilon == -1 else status.flip())]
+                (negation, status if self.system.spec.eta_epsilon == -1 else status.flip())]
 
     def unknown_blocks(self) -> List[str]:
         """Block weights whose unknown status some adjoint weight still reads,
@@ -196,8 +196,9 @@ class Propagation:
         labels = sorted({r.derived_from for r in self.rules
                          if r.derived_from is not None
                          and self.block_status[r.derived_from] == Status.UNKNOWN})
+        std = self.system.standard_by_label()
         return [label for i, label in enumerate(labels)
-                if self.std[label].negation not in labels[:i]]
+                if std[label].negation not in labels[:i]]
 
     def substituted(self, assignment: Iterable[Tuple[str, Status]]) -> "Propagation":
         """This propagation with each (label, status) of ``assignment`` set on
@@ -206,17 +207,16 @@ class Propagation:
         block_status = dict(self.block_status)
         for label, status in assignment:
             block_status.update(self.mirrored(label, status))
-        return Propagation(self.spec, self.std, block_status, self.rules)
+        return Propagation(self.system, block_status, self.rules)
 
 
-def propagate_constraints(spec: GroupSpec, system: RootSystem,
-                          decorations: Sequence[Decoration],
+def propagate_constraints(system: RootSystem, decorations: Sequence[Decoration],
                           surface: Optional[SurfaceData] = None) -> Propagation:
     """Build every adjoint weight's rule once, turn each decoration into the
     one status setting it asks for, and substitute those settings. A pure
     function of the inputs, hence idempotent."""
     std = system.standard_by_label()
-    rules = {root.label: _rule(spec, std, root)
+    rules = {root.label: _rule(system, root)
              for root in sorted(system.adjoint, key=lambda r: r.label)}
 
     # without a sesquilinear structure, or on a definite one (a compact
@@ -224,7 +224,7 @@ def propagate_constraints(spec: GroupSpec, system: RootSystem,
     block_status = {label: Status.UNKNOWN if r.pure_imaginary and r.sig is not None
                     and not r.sig.is_definite() else Status.NON_MAXIMAL
                     for label, r in std.items()}
-    base = Propagation(spec, std, block_status, list(rules.values()))
+    base = Propagation(system, block_status, list(rules.values()))
 
     settings = []
     set_by: Dict[str, Tuple[str, Status]] = {}
@@ -287,7 +287,7 @@ def _setting(std, rules: Dict[str, WeightRule],
     return None if status == Status.UNKNOWN else (label, status)
 
 
-def _rule(spec, std, root: AdjointRoot) -> WeightRule:
+def _rule(system: RootSystem, root: AdjointRoot) -> WeightRule:
     def forced(tag):
         return WeightRule(root, tag, None, False)
 
@@ -299,13 +299,14 @@ def _rule(spec, std, root: AdjointRoot) -> WeightRule:
         return forced(TAG_VANISHING)
 
     _, a_label, b_label = root.source
+    std, family = system.standard_by_label(), system.spec.family
     ra, rb = std[a_label], std[b_label]
     a_def = ra.sig is not None and ra.sig.is_definite()
     b_def = rb.sig is not None and rb.sig.is_definite()
     a_van = ra.sig is not None and ra.sig.is_vanishing()
     b_van = rb.sig is not None and rb.sig.is_vanishing()
     if not ((a_def and b_van) or (b_def and a_van)):
-        return forced(TAG_PAIRING_SU if spec.family == Family.SU else TAG_PAIRING_ORTH)
+        return forced(TAG_PAIRING_SU if family == Family.SU else TAG_PAIRING_ORTH)
 
     zero_side = ra if ra.is_zero else (rb if rb.is_zero else None)
     if zero_side is not None:
@@ -314,9 +315,9 @@ def _rule(spec, std, root: AdjointRoot) -> WeightRule:
             # the action on the zero weight space factors through the fixator
             # of its complement; only a tight tube-type embedding could make
             # it maximal
-            if spec.family == Family.SO:
+            if family == Family.SO:
                 return forced(TAG_SPLIT_ORTH)
-            if spec.family == Family.SO_STAR and (zero_side.dim // 2) % 2 == 1:
+            if family == Family.SO_STAR and (zero_side.dim // 2) % 2 == 1:
                 return forced(TAG_VANISHING)
 
     # one side definite: maximality transfers to the other side, with a sign

@@ -18,8 +18,8 @@ from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constra
 def run(spec, bl, decos=()):
     sys = root_system(spec, bl)
     surf = SurfaceData(genus=max(2, spec.genus_bound()))
-    prop = propagate_constraints(spec, sys, list(decos), surf)
-    return classify(spec, surf, sys, prop), prop
+    prop = propagate_constraints(sys, list(decos), surf)
+    return classify(prop), prop
 
 
 def test_the_package_exports_the_classify_module():
@@ -139,25 +139,14 @@ def test_so_never_rigid():
     assert v.flexible
 
 
-def test_genus_bound_flag():
-    spec = groups.su(2, 3)
-    bl = [blocks.sesq_self(1, (0, 1), (1, 0), label="D"),
-          blocks.sesq_self(2, (1, 1), (2, 0), label="E")]
-    sys = root_system(spec, bl)
-    prop = propagate_constraints(spec, sys, [Decoration("E:il", Status.NON_MAXIMAL)])
-    assert not classify(spec, SurfaceData(genus=2), sys, prop).genus_bound_ok
-    assert classify(spec, SurfaceData(genus=spec.genus_bound()), sys, prop).genus_bound_ok
-
-
 def test_certificates_attached_and_verified():
     spec = groups.su(2, 3)
     bl = [blocks.sesq_self(1, (0, 1), (1, 0), label="D"),
           blocks.sesq_self(2, (1, 1), (2, 0), label="E")]
     v, prop = run(spec, bl, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
     from liebalance.classify import balance_instance
-    sys = root_system(spec, bl)
     assert v.certificate is not None and not v.certificate.balanced
-    assert v.certificate.verify(balance_instance(sys, prop))
+    assert v.certificate.verify(balance_instance(prop))
 
 
 def test_abelian_so2c_builds_but_does_not_classify():
@@ -167,7 +156,7 @@ def test_abelian_so2c_builds_but_does_not_classify():
     sys = root_system(spec, [blocks.dual_pair(1)])
     assert sys.adjoint == [] and sys.dim_c == 2 and not spec.is_semisimple
     with pytest.raises(ScenarioError, match="adjoint weights do not span"):
-        classify(spec, SurfaceData(genus=2), sys, propagate_constraints(spec, sys, []))
+        classify(propagate_constraints(sys, []))
     v, _ = run(groups.so_c(3), [blocks.dual_pair(1), blocks.zero_block(1)])
     assert v.flexible and v.reason == "complex_group"
 
@@ -204,8 +193,7 @@ def test_rigid_shape_needs_one_maximal_sign(family, bl, decos, descriptor):
     system = root_system(spec, bl)
 
     def shape(decorations):
-        prop = propagate_constraints(spec, system, decorations)
-        return rigid_shape(spec, system.blocks, prop.block_status)
+        return rigid_shape(propagate_constraints(system, decorations))
 
     assert shape(decos) is None
     same_sign = [Decoration(d.target, Status.MAXIMAL_POSITIVE) for d in decos]
@@ -220,9 +208,8 @@ def _classify_with(sc, answer):
     """Classify a scenario with a `decide` that gives the same answer on
     every instance."""
     system = root_system(sc.spec, sc.blocks)
-    prop = propagate_constraints(sc.spec, system, sc.decorations, sc.surface)
-    return classify(sc.spec, sc.surface, system, prop,
-                    lambda system, prop: BalancednessCertificate(answer))
+    prop = propagate_constraints(system, sc.decorations, sc.surface)
+    return classify(prop, lambda prop: BalancednessCertificate(answer))
 
 
 def test_a_balanced_rigid_shape_raises():
@@ -270,13 +257,13 @@ def test_substituted_statuses_equal_a_fresh_propagation():
                 vanishing = r.pure_imaginary and r.sig is not None and r.sig.is_vanishing()
                 decos.append(Decoration(label, rng.choice(
                     statuses if vanishing else [Status.NON_MAXIMAL, Status.UNKNOWN])))
-            prop = propagate_constraints(spec, system, decos)
+            prop = propagate_constraints(system, decos)
             unknowns = prop.unknown_blocks()
             if len(unknowns) > 4:
                 continue
             for assignment in assignments(unknowns):
                 fresh = propagate_constraints(
-                    spec, system, decos + [Decoration(l, s) for l, s in assignment])
+                    system, decos + [Decoration(l, s) for l, s in assignment])
                 assert _as_rows(prop.substituted(assignment)) == \
                     _as_rows(fresh), (spec.describe(), decos, assignment)
                 substituted += 1

@@ -214,7 +214,7 @@ def test_exact_gram_matches_symbolic_signature():
     ]
     for spec, bl in cases:
         sys = root_system(spec, bl)
-        model = build_model(spec, sys)
+        model = build_model(sys)
         for root in sys.adjoint:
             if not root.pure_imaginary:
                 continue
@@ -231,7 +231,7 @@ def test_sl_r_dim2_hom_block_killing_matrix():
     weight spaces: symmetric part positive, alternating part negative."""
     spec = groups.sl_r(4)
     sys = root_system(spec, [blocks.conj_pair(2, 1)])
-    model = build_model(spec, sys)
+    model = build_model(sys)
     root = next(r for r in sys.adjoint if r.pure_imaginary)
     basis = adjoint_space_basis(model, root)
     gram = killing_form_matrix(basis, model.sigma)
@@ -245,7 +245,7 @@ def test_model_realizes_declared_weight_signatures():
     for fam in Family:
         spec, bl = random_scenario(fam, rng)
         sys = root_system(spec, bl)
-        build_model(spec, sys)  # raises if any declared signature is off
+        build_model(sys)  # raises if any declared signature is off
 
 
 def test_adjoint_space_basis_is_form_skew_across_fresh_models():
@@ -257,7 +257,7 @@ def test_adjoint_space_basis_is_form_skew_across_fresh_models():
     for k in range(300):
         spec, bl = random_scenario(families[k % len(families)], rng, cap=6)
         sys = root_system(spec, bl)
-        model = build_model(spec, sys)
+        model = build_model(sys)
         for root in sys.adjoint:
             for x in adjoint_space_basis(model, root):
                 lhs = linalg.matmul(linalg.transpose(x), model.B)
@@ -431,9 +431,10 @@ def test_diagnostics_clear_their_tolerances_on_demo_scenarios(path):
 # the rules of `build_model`, which must give the same matrices. Every form is
 # monomial, one unit per row and column, and every center element diagonal.
 
-def _reference_model(spec, system) -> MatrixModel:
+def _reference_model(system) -> MatrixModel:
     """The per-kind chain `build_model` once wrote T, B and s with, kept
     unverified as the reference for its rules."""
+    spec = system.spec
     n = spec.ambient_dim
     fam = spec.family
     eps = spec.epsilon
@@ -558,7 +559,7 @@ def _reference_model(spec, system) -> MatrixModel:
                     B[st + k][st + h + k] = ONE
                     B[st + h + k][st + k] = -ONE
 
-    model = MatrixModel(spec, system, n, B, s, T, eta, slices)
+    model = MatrixModel(system, n, B, s, T, eta, slices)
     model.center = build_center_basis(model)
     return model
 
@@ -575,7 +576,7 @@ def _model_draws():
 def test_forms_equal_the_per_kind_chain():
     for spec, bl in _model_draws():
         system = root_system(spec, bl)
-        model, ref = build_model(spec, system), _reference_model(spec, system)
+        model, ref = build_model(system), _reference_model(system)
         assert (model.T, model.B, model.s, model.slices, model.center) == \
             (ref.T, ref.B, ref.s, ref.slices, ref.center), spec.describe()
 
@@ -595,7 +596,7 @@ def _is_monomial(m: Mat) -> bool:
 def test_forms_are_monomial_and_the_center_diagonal():
     seen = set()
     for spec, bl in _model_draws():
-        model = build_model(spec, root_system(spec, bl))
+        model = build_model(root_system(spec, bl))
         for name in ("T", "B", "s"):
             form = getattr(model, name)
             if form is not None:

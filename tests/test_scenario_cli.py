@@ -86,7 +86,7 @@ def test_center_dim_crosscheck_runs():
               for family in Family for s in range(20)]
     for spec, bl in cases:
         system = root_system(spec, bl)
-        total, dim_c = report_mod.center_dim_crosscheck(spec, system)
+        total, dim_c = report_mod.center_dim_crosscheck(system)
         assert total == dim_c, spec.describe()
         for b in system.blocks:
             if b.kind == "sesq_self":
@@ -289,6 +289,28 @@ def _signed(kind, dim, sig):
 ], ids=["SU", "SO", "SP"])
 def test_cli_check_form_signature_mismatch_exits_3(tmp_path, capsys, group, blocks_, message):
     # block rules run when the root system is built, not in from_json
+    file = tmp_path / "sc.json"
+    file.write_text(json.dumps({"schema": "liebalance-scenario/1", "group": group,
+                                "surface": {"genus": 2}, "blocks": blocks_}))
+    assert main(["check", str(file)]) == 3
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+
+
+@pytest.mark.parametrize("group,blocks_,message", [
+    ({"family": "SU", "p": 2, "q": 0},
+     [{"kind": "sesq_self", "dim": 1, "mult": 5, "class_sig": [1, 0], "mult_sig": [1, 0],
+       "label": "a"},
+      {"kind": "sesq_self", "dim": 1, "class_sig": [1, 0], "mult_sig": [1, 0], "label": "b"}],
+     "sesq_self mult 5 differs from the total 1 of its mult_sig"),
+    ({"family": "SO", "p": 3, "q": 1},
+     [_signed("imag_pair", 1, [1, 0]), {"kind": "zero", "dim": 2, "mult": 4, "sig": [1, 1]}],
+     "a zero block has multiplicity 1, got 4"),
+], ids=["sesq_self", "zero"])
+def test_cli_check_mult_the_block_cannot_carry_exits_3(tmp_path, capsys, group, blocks_,
+                                                       message):
+    # a sesq_self block's multiplicity is the total of its multiplicity form,
+    # and a zero block's is 1: a mult that says otherwise is refused, not dropped
     file = tmp_path / "sc.json"
     file.write_text(json.dumps({"schema": "liebalance-scenario/1", "group": group,
                                 "surface": {"genus": 2}, "blocks": blocks_}))

@@ -13,7 +13,7 @@ from liebalance import classify as classify_mod
 from liebalance import groups
 from liebalance.cli import main
 from liebalance.groups import Family
-from liebalance.toledo import Decoration, Status, SurfaceData, propagate_constraints
+from liebalance.toledo import Decoration, Status, propagate_constraints
 
 
 def _recording(monkeypatch):
@@ -31,12 +31,12 @@ def _recording(monkeypatch):
         formed.append(canonical_key_of(*args))
         return formed[-1]
 
-    def recorded(spec, surface, system, prop, decide):
-        def reference(system, prop):
-            inst = classify_mod.balance_instance(system, prop)
+    def recorded(prop, decide):
+        def reference(prop):
+            inst = classify_mod.balance_instance(prop)
             expected.append(balance.canonical_key(inst))
-            return decide(system, prop)
-        return classify_mod.classify(spec, surface, system, prop, reference)
+            return decide(prop)
+        return classify_mod.classify(prop, reference)
 
     monkeypatch.setattr(sweep, "is_balanced", counted)
     monkeypatch.setattr(sweep, "canonical_key_of", formed_key)
@@ -100,9 +100,7 @@ def test_each_skeleton_gets_one_geometry_per_sweep(monkeypatch):
 def _unmemoized(monkeypatch, family, bound):
     """The sweep with classify deciding every instance afresh."""
     with monkeypatch.context() as m:
-        m.setattr(sweep, "classify",
-                  lambda spec, surface, system, prop, decide:
-                  classify_mod.classify(spec, surface, system, prop))
+        m.setattr(sweep, "classify", lambda prop, decide: classify_mod.classify(prop))
         return sweep.run_sweep(family, bound)
 
 
@@ -120,6 +118,21 @@ def _rows(prop):
     return prop.block_status, [(p.root.label, s) for p, s in zip(prop.rules, prop.statuses)]
 
 
+def _scanned_targets(system):
+    """The weight scan the sweep once took its decoration targets from, kept
+    as the reference: each pure imaginary standard weight of vanishing
+    signature, one of each pair +-l, then the zero weight if it vanishes."""
+    targets = []
+    for r in system.standard:
+        if r.pure_imaginary and r.sig is not None and r.sig.is_vanishing() \
+                and r.negation not in targets:
+            targets.append(r.label)
+    z = system.zero
+    if z is not None and z.sig is not None and z.sig.is_vanishing():
+        targets.append("0")
+    return targets
+
+
 def _read(verdict):
     """A verdict as a sweep reads it: there the certificate belongs to the
     canonical instance, so only its outcome is compared."""
@@ -135,9 +148,9 @@ def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
     certificate has the same outcome."""
     reached = []
 
-    def recorded(spec, surface, system, prop, decide):
-        verdict = classify_mod.classify(spec, surface, system, prop, decide)
-        reached.append((spec.describe(), _rows(prop), _read(verdict)))
+    def recorded(prop, decide):
+        verdict = classify_mod.classify(prop, decide)
+        reached.append((prop.system.spec.describe(), _rows(prop), _read(verdict)))
         return verdict
 
     monkeypatch.setattr(sweep, "classify", recorded)
@@ -147,14 +160,13 @@ def test_substituted_runs_equal_decorated_ones(monkeypatch, family, bound):
     for bl in sweep._configurations(family, bound):
         spec = blocks.spec_for(family, bl)
         system = roots.root_system(spec, bl)
-        surface = SurfaceData(genus=spec.genus_bound())
-        targets = sweep._decoration_targets(system)[:sweep.MAX_DECORATIONS]
-        std = system.standard_by_label()
-        assert all(std[t].sig.is_vanishing() for t in targets), spec.describe()
+        # one weight of each vanishing block, so every target vanishes
+        targets = sweep._decoration_targets(system)
+        assert targets == _scanned_targets(system), spec.describe()
         for combo in itertools.product(statuses, repeat=len(targets)):
             decos = [Decoration(t, st) for t, st in zip(targets, combo)]
-            prop = propagate_constraints(spec, system, decos, surface)
-            verdict = classify_mod.classify(spec, surface, system, prop)
+            prop = propagate_constraints(system, decos)
+            verdict = classify_mod.classify(prop)
             reference.append((spec.describe(), _rows(prop), _read(verdict)))
             if verdict.outcome == "rigid_maximal":
                 rigid.append([f"{d.target}={d.status.value}" for d in decos])
@@ -302,15 +314,15 @@ def test_sweeps_catch_a_wrong_statement_of_the_theorem(monkeypatch, capsys):
     """A sweep holds every decision to `classify.rigid_shape` both ways: with
     no rigid shape anywhere the SU rigid data are unbalanced outside it, and
     with a rigid shape on every SO* datum the flexible ones contradict it."""
-    monkeypatch.setattr(classify_mod, "rigid_shape", lambda spec, bl, status: None)
+    monkeypatch.setattr(classify_mod, "rigid_shape", lambda prop: None)
     res = sweep.run_sweep(Family.SU, 4)
     assert res.mismatches and not res.ok
     assert all("no rigid shape came out unbalanced" in m for m in res.mismatches)
     assert main(["sweep", "SU", "4"]) == 4
     capsys.readouterr()
 
-    def everywhere(spec, bl, status):
-        return "SO*(x) x SO(2)" if spec.family == Family.SO_STAR else None
+    def everywhere(prop):
+        return "SO*(x) x SO(2)" if prop.system.spec.family == Family.SO_STAR else None
 
     monkeypatch.setattr(classify_mod, "rigid_shape", everywhere)
     res = sweep.run_sweep(Family.SO_STAR, 6)

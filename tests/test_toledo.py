@@ -89,9 +89,9 @@ def _su_rigid_system():
 def test_propagation_is_idempotent():
     spec, sys = _su_rigid_system()
     decos = [Decoration("E:il", Status.MAXIMAL_POSITIVE)]
-    p1 = propagate_constraints(spec, sys, decos)
+    p1 = propagate_constraints(sys, decos)
     as_decos = [Decoration(lbl, st) for lbl, st in p1.block_status.items()]
-    p2 = propagate_constraints(spec, sys, as_decos)
+    p2 = propagate_constraints(sys, as_decos)
     assert [(x.root.label, s, x.forced_tag) for x, s in zip(p1.rules, p1.statuses)] == \
            [(x.root.label, s, x.forced_tag) for x, s in zip(p2.rules, p2.statuses)]
 
@@ -99,7 +99,7 @@ def test_propagation_is_idempotent():
 def test_maximal_on_nonvanishing_rejected():
     spec, sys = _su_rigid_system()
     with pytest.raises(ScenarioError) as exc:
-        propagate_constraints(spec, sys, [Decoration("D:il", Status.MAXIMAL_POSITIVE)])
+        propagate_constraints(sys, [Decoration("D:il", Status.MAXIMAL_POSITIVE)])
     assert TAG_VANISHING in str(exc.value)
 
 
@@ -107,7 +107,7 @@ def test_double_weights_forced_with_tag():
     spec = groups.sp_r(4)
     sys = root_system(spec, [blocks.imag_pair(1, 1, (1, 0)),
                              blocks.zero_block(2, (1, 1))])
-    prop = propagate_constraints(spec, sys, [])
+    prop = propagate_constraints(sys, [])
     doubles = [(p, s) for p, s in zip(prop.rules, prop.statuses)
                if p.root.source[0] == "wedge"]
     assert doubles and all(s == Status.NON_MAXIMAL and
@@ -117,7 +117,7 @@ def test_double_weights_forced_with_tag():
 def test_nonvanishing_weight_spaces_forced():
     spec = groups.sl_r(4)
     sys = root_system(spec, [blocks.conj_pair(2, 1)])
-    prop = propagate_constraints(spec, sys, [])
+    prop = propagate_constraints(sys, [])
     pure = [p for p in prop.rules if p.root.pure_imaginary]
     assert pure and all(p.forced_tag == TAG_VANISHING for p in pure)
 
@@ -126,8 +126,7 @@ def test_split_orthogonal_pathway_forced():
     spec = groups.so(4, 2)
     sys = root_system(spec, [blocks.imag_pair(1, 1, (1, 0)),
                              blocks.zero_block(4, (2, 2))])
-    prop = propagate_constraints(spec, sys,
-                                 [Decoration("0", Status.MAXIMAL_POSITIVE)])
+    prop = propagate_constraints(sys, [Decoration("0", Status.MAXIMAL_POSITIVE)])
     zero_paths = [p for p in prop.rules if "0" in p.root.source]
     assert zero_paths and all(p.forced_tag == TAG_SPLIT_ORTH for p in zero_paths)
 
@@ -136,8 +135,7 @@ def test_parity_rule_kills_even_half_dimension():
     spec = groups.so_star(8)
     sys = root_system(spec, [blocks.imag_pair(1, 1, (1, 0)),
                              blocks.zero_block(6, (3, 3))])
-    prop = propagate_constraints(spec, sys,
-                                 [Decoration("0", Status.MAXIMAL_POSITIVE)])
+    prop = propagate_constraints(sys, [Decoration("0", Status.MAXIMAL_POSITIVE)])
     zero_paths = [(p, s) for p, s in zip(prop.rules, prop.statuses)
                   if "0" in p.root.source]
     assert zero_paths and all(s == Status.NON_MAXIMAL and
@@ -159,7 +157,7 @@ def test_conjugation_symmetry_after_propagation():
     ]
     for spec, bl, decos in cases:
         sys = root_system(spec, bl)
-        prop = propagate_constraints(spec, sys, decos)
+        prop = propagate_constraints(sys, decos)
         lookup = {(p.root.re, p.root.im): s for p, s in zip(prop.rules, prop.statuses)}
         for (re, im), st in lookup.items():
             neg = (tuple(-x for x in re), tuple(-x for x in im))
@@ -172,7 +170,7 @@ def test_conjugation_symmetry_after_propagation():
 
 def test_forced_statuses_carry_known_tags():
     spec, sys = _su_rigid_system()
-    prop = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
+    prop = propagate_constraints(sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
     for p in prop.rules:
         if p.forced_tag is not None:
             assert p.forced_tag in ALL_TAGS
@@ -182,20 +180,19 @@ def test_milnor_wood_rejection_in_propagation():
     spec, sys = _su_rigid_system()
     surf = SurfaceData(2)
     ok = Decoration("E:il", Status.MAXIMAL_POSITIVE, Fraction(4))
-    propagate_constraints(spec, sys, [ok], surf)
+    propagate_constraints(sys, [ok], surf)
     bad = Decoration("E:il", Status.MAXIMAL_POSITIVE, Fraction(5))
     with pytest.raises(ScenarioError):
-        propagate_constraints(spec, sys, [bad], surf)
+        propagate_constraints(sys, [bad], surf)
 
 
 def test_adjoint_level_decoration_is_translated():
     spec, sys = _su_rigid_system()
-    prop = propagate_constraints(
-        spec, sys, [Decoration("D:il->E:il", Status.MAXIMAL_NEGATIVE)])
+    prop = propagate_constraints(sys, [Decoration("D:il->E:il", Status.MAXIMAL_NEGATIVE)])
     assert prop.block_status["E:il"] == Status.MAXIMAL_POSITIVE
 
     with pytest.raises(ScenarioError):
-        propagate_constraints(spec, sys, [
+        propagate_constraints(sys, [
             Decoration("E:il", Status.MAXIMAL_POSITIVE),
             Decoration("D:il->E:il", Status.MAXIMAL_POSITIVE),
         ])
@@ -207,8 +204,7 @@ def test_contradicting_forced_status_reports_rule():
                              blocks.zero_block(2, (1, 1))])
     wedge_label = next(r.label for r in sys.adjoint if r.source[0] == "wedge")
     with pytest.raises(ScenarioError) as exc:
-        propagate_constraints(spec, sys,
-                              [Decoration(wedge_label, Status.MAXIMAL_POSITIVE)])
+        propagate_constraints(sys, [Decoration(wedge_label, Status.MAXIMAL_POSITIVE)])
     assert TAG_DOUBLE in str(exc.value)
 
 
@@ -268,21 +264,21 @@ def test_mirror_conflict_names_both_decorations():
     assert spec.eta_epsilon == 1
     with pytest.raises(ScenarioError,
                        match="decoration on b:-l conflicts with another decoration on b:\\+l"):
-        propagate_constraints(spec, sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
+        propagate_constraints(sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
                                           Decoration("b:-l", Status.MAXIMAL_POSITIVE)])
     # the conjugate status on -l is the mirror itself, not a conflict
-    prop = propagate_constraints(spec, sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
+    prop = propagate_constraints(sys, [Decoration("b:+l", Status.MAXIMAL_POSITIVE),
                                              Decoration("b:-l", Status.MAXIMAL_NEGATIVE)])
     assert prop.block_status["b:-l"] == Status.MAXIMAL_NEGATIVE
 
 
 def test_the_same_setting_twice_is_accepted():
     spec, sys = _su_rigid_system()
-    once = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
-    twice = propagate_constraints(spec, sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)] * 2)
+    once = propagate_constraints(sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)])
+    twice = propagate_constraints(sys, [Decoration("E:il", Status.MAXIMAL_POSITIVE)] * 2)
     assert twice == once
     # through the adjoint weight that reads E:il flipped, the same setting again
-    via_adjoint = propagate_constraints(spec, sys, [
+    via_adjoint = propagate_constraints(sys, [
         Decoration("E:il", Status.MAXIMAL_POSITIVE),
         Decoration("D:il->E:il", Status.MAXIMAL_NEGATIVE)])
     assert via_adjoint == once
@@ -291,12 +287,12 @@ def test_the_same_setting_twice_is_accepted():
 def test_an_explicit_unknown_never_overrides():
     spec, sys = _so42_pairs()
     for target in ("b:+l", "b:-l"):
-        prop = propagate_constraints(spec, sys, [
+        prop = propagate_constraints(sys, [
             Decoration("b:+l", Status.MAXIMAL_POSITIVE), Decoration(target, Status.UNKNOWN)])
         assert prop.block_status["b:+l"] == Status.MAXIMAL_POSITIVE
         assert prop.block_status["b:-l"] == Status.MAXIMAL_NEGATIVE
-    undecorated = propagate_constraints(spec, sys, [])
-    assert propagate_constraints(spec, sys, [Decoration("b:+l", Status.UNKNOWN)]) == undecorated
+    undecorated = propagate_constraints(sys, [])
+    assert propagate_constraints(sys, [Decoration("b:+l", Status.UNKNOWN)]) == undecorated
     assert undecorated.block_status["b:+l"] == Status.UNKNOWN
 
 
@@ -309,7 +305,7 @@ def test_an_adjoint_decoration_conflicting_with_a_standard_one_raises():
         with pytest.raises(ScenarioError,
                            match=f"decoration on {decos[1].target} conflicts with "
                                  f"another decoration on {decos[0].target}"):
-            propagate_constraints(spec, sys, decos)
+            propagate_constraints(sys, decos)
 
 
 def _law_status(std, prop, root):
@@ -347,7 +343,7 @@ def test_propagation_follows_the_toledo_laws():
                      for label, r in std.items()
                      if r.pure_imaginary and r.sig is not None and r.sig.is_vanishing()
                      and label <= (r.negation or label) and rng.random() < 0.7]
-            prop = propagate_constraints(spec, system, decos)
+            prop = propagate_constraints(system, decos)
             for label, r in std.items():
                 s = prop.block_status[label]
                 if r.negation and r.negation != label:
