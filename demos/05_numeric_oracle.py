@@ -26,12 +26,12 @@ data = [blocks.imag_pair(1, 1, (1, 0)), blocks.zero_block(4, (2, 2))]
 system = root_system(spec, data)
 model = synthesize_model(system)
 
-print(f"model of a {spec.describe()} datum: ambient dimension {model.n}")
-print(f"  tau matrix with tau^2 = {model.eta} * id; invariant bilinear form;")
+print(f"model of a {spec.describe()} datum: ambient dimension {spec.ambient_dim}")
+print(f"  tau matrix with tau^2 = {spec.eta} * id; invariant bilinear form;")
 print(f"  center spanned by {len(model.centers)} block-scalar matrix")
 print()
 
-report = brute_force_roots(system, model, seed=1)
+report = brute_force_roots(model, seed=1)
 print("numeric weight report (adjoint):")
 for w in report.adjoint:
     val = ", ".join(f"{v:.3f}" for v in w.value)
@@ -52,7 +52,7 @@ print(f"  largest sigma residual off target space {report.max_sigma_residual:.3e
       f"  (<= {SIGMA_TOL:.0e})")
 print()
 
-problems = compare_reports(system, report)
+problems = compare_reports(report)
 print("symbolic vs numeric:", "agree" if not problems else problems)
 print()
 
@@ -61,10 +61,9 @@ print("--------------------------------------------")
 rng = random.Random(7)
 for fam in Family:
     spec, data = random_scenario(fam, rng)
-    system = root_system(spec, data)
-    model = synthesize_model(system)
-    report = brute_force_roots(system, model, seed=rng.randint(0, 10 ** 6))
-    problems = compare_reports(system, report)
-    print(f"  {spec.describe():<12} ambient {model.n:>2}, "
+    report = brute_force_roots(synthesize_model(root_system(spec, data)),
+                               seed=rng.randint(0, 10 ** 6))
+    problems = compare_reports(report)
+    print(f"  {spec.describe():<12} ambient {spec.ambient_dim:>2}, "
           f"{len(report.adjoint):>2} nonzero weights: "
           f"{'agree' if not problems else problems[:2]}")

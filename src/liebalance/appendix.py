@@ -126,16 +126,16 @@ def in_skew_unitary(x: QMat) -> bool:
     return True
 
 
-def _is_s_skew(rho_x: List[List[GQ]], s: List[List[GQ]]) -> bool:
-    """(rho X)^dagger s + s (rho X) = 0."""
-    n = len(s)
-    lhs = linalg.matmul(linalg.conj_transpose(rho_x), s)
-    rhs = linalg.matmul(s, rho_x)
-    for a in range(n):
-        for b in range(n):
-            if lhs[a][b] + rhs[a][b] != ZERO:
-                return False
-    return True
+def _is_form_skew(x: List[List[GQ]], f: List[List[GQ]]) -> bool:
+    """x^dagger f + f x = 0: x lies in the algebra of the sesquilinear form f."""
+    lhs = linalg.matmul(linalg.conj_transpose(x), f)
+    rhs = linalg.matmul(f, x)
+    return all((u + v).is_zero() for lrow, rrow in zip(lhs, rhs) for u, v in zip(lrow, rrow))
+
+
+def _preserves_form(a: List[List[GQ]], f: List[List[GQ]]) -> bool:
+    """a^dagger f a = f: a lies in the group of the sesquilinear form f."""
+    return linalg.matmul(linalg.matmul(linalg.conj_transpose(a), f), a) == f
 
 
 @dataclass
@@ -184,7 +184,7 @@ def verify_appendix_embeddings(seed: int = 0, samples: int = 6) -> AppendixRepor
             lhs = linalg.mat_vec(rho_x, complexify_vector(v))
             rhs = complexify_vector(qmat_vec(x, v))
             action_ok &= (lhs == rhs)
-            skew_ok &= _is_s_skew(rho_x, s)
+            skew_ok &= _is_form_skew(rho_x, s)
             tr = sum((rho_x[a][a] for a in range(2 * m)), ZERO)
             trace_ok &= tr.is_zero()
         rep.add(f"projector_into_algebra_m{m}", member_ok)
@@ -211,16 +211,12 @@ def verify_appendix_embeddings(seed: int = 0, samples: int = 6) -> AppendixRepor
     for a_mat in ([[1, 1], [0, 1]], [[1, 0], [1, 1]],
                   [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1, 2)]],
                   [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(1, 3)]]):
-        am = gmat(a_mat)
-        lhs = linalg.matmul(linalg.matmul(linalg.conj_transpose(am), smat), am)
-        ok &= (lhs == smat)
+        ok &= _preserves_form(gmat(a_mat), smat)
     for _ in range(samples):
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         u = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         for a_mat in ([[1, t], [0, 1]], [[1, 0], [t, 1]], [[u, 0], [0, 1 / u]]):
-            am = gmat(a_mat)
-            lhs = linalg.matmul(linalg.matmul(linalg.conj_transpose(am), smat), am)
-            ok &= (lhs == smat)
+            ok &= _preserves_form(gmat(a_mat), smat)
     rep.add("split_form_sl2r_invariant", ok)
     return rep
 
@@ -248,6 +244,19 @@ def _q_part_basis() -> List[QMat]:
     ]
 
 
+def _components(r: List[List[GQ]]):
+    """The two 2x2 diagonal blocks of a 4x4 matrix on coordinates (0, 3)
+    and (1, 2)."""
+    return ([[r[0][0], r[0][3]], [r[3][0], r[3][3]]],
+            [[r[1][1], r[1][2]], [r[2][1], r[2][2]]])
+
+
+def _bracket(mul, x, y):
+    """xy - yx for the matrix product ``mul``."""
+    xy, yx = mul(x, y), mul(y, x)
+    return [[u - v for u, v in zip(row_xy, row_yx)] for row_xy, row_yx in zip(xy, yx)]
+
+
 def _check_diagonal_su11(rep: AppendixReport) -> None:
     basis = _q_part_basis()
     rep.add("q_part_in_algebra", all(in_skew_unitary(x) for x in basis))
@@ -257,25 +266,17 @@ def _check_diagonal_su11(rep: AppendixReport) -> None:
     block_pattern_ok = True
     for x in basis:
         r = quaternion_matrix_complexify(x)
-        comp1 = [[r[0][0], r[0][3]], [r[3][0], r[3][3]]]
-        comp2 = [[r[1][1], r[1][2]], [r[2][1], r[2][2]]]
         for a in range(4):
             for b in range(4):
                 inside = {(0, 0), (0, 3), (3, 0), (3, 3),
                           (1, 1), (1, 2), (2, 1), (2, 2)}
                 if (a, b) not in inside and not r[a][b].is_zero():
                     block_pattern_ok = False
-        on_blocks.append((comp1, comp2))
+        on_blocks.append(_components(r))
     rep.add("q_part_block_diagonal", block_pattern_ok)
 
     def in_su11(c):
-        tr = c[0][0] + c[1][1]
-        if not tr.is_zero():
-            return False
-        cd = linalg.conj_transpose(c)
-        lhs = linalg.matmul(cd, d_form)
-        rhs = linalg.matmul(d_form, c)
-        return all((lhs[a][b] + rhs[a][b]).is_zero() for a in range(2) for b in range(2))
+        return (c[0][0] + c[1][1]).is_zero() and _is_form_skew(c, d_form)
 
     rep.add("q_part_components_in_su11",
             all(in_su11(c1) and in_su11(c2) for c1, c2 in on_blocks))
@@ -294,22 +295,13 @@ def _check_diagonal_su11(rep: AppendixReport) -> None:
                 linalg.frac_rank(rows) == 3)
 
     # projections intertwine the brackets: each factor carries a full copy
-    def bracket_q(x: QMat, y: QMat) -> QMat:
-        return [[(qmat_mul(x, y)[a][b] - qmat_mul(y, x)[a][b]) for b in range(2)]
-                for a in range(2)]
-
-    def bracket_c(x, y):
-        return [[(linalg.matmul(x, y)[a][b] - linalg.matmul(y, x)[a][b])
-                 for b in range(2)] for a in range(2)]
-
     ok = True
     for ia in range(3):
         for ib in range(3):
-            br = bracket_q(basis[ia], basis[ib])
-            r = quaternion_matrix_complexify(br)
-            c1 = [[r[0][0], r[0][3]], [r[3][0], r[3][3]]]
-            c2 = [[r[1][1], r[1][2]], [r[2][1], r[2][2]]]
+            c1, c2 = _components(quaternion_matrix_complexify(
+                _bracket(qmat_mul, basis[ia], basis[ib])))
             a1, a2 = on_blocks[ia]
             b1, b2 = on_blocks[ib]
-            ok &= (bracket_c(a1, b1) == c1) and (bracket_c(a2, b2) == c2)
+            ok &= (_bracket(linalg.matmul, a1, b1) == c1) and \
+                (_bracket(linalg.matmul, a2, b2) == c2)
     rep.add("q_part_projections_intertwine_brackets", ok)

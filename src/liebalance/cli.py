@@ -27,6 +27,7 @@ from .classify import InternalConsistencyError
 from .groups import Family
 from .oracle import OracleError, oracle_check
 from .randomgen import random_scenario
+from .roots import root_system
 from .sweep import run_sweep, summary_table
 
 EXIT_OK = 0
@@ -100,7 +101,8 @@ def _cmd_oracle(args) -> int:
             spec, blocks = random_scenario(fam, rng, cap=opts.cap)
             total += 1
             try:
-                problems = oracle_check(spec, blocks, seed=rng.randint(0, 10 ** 6),
+                problems = oracle_check(root_system(spec, blocks),
+                                        seed=rng.randint(0, 10 ** 6),
                                         tol=opts.tolerance, cap=opts.cap)
             except OracleError as exc:
                 problems = [str(exc)]

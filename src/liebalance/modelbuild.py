@@ -35,18 +35,17 @@ Mat = List[List[GQ]]
 @dataclass
 class MatrixModel:
     system: RootSystem
-    n: int
     B: Optional[Mat]          # invariant bilinear form, orthogonal-like families
     s: Optional[Mat]          # invariant sesquilinear form, SU
     T: Optional[Mat]          # tau(v) = T conj(v)
-    eta: Optional[int]
     slices: Dict[str, Tuple[int, int]]   # standard weight label -> (start, size)
     center: List[Mat] = field(default_factory=list)   # exact basis of the center
 
     def sigma(self, x: Mat) -> Mat:
         """The antilinear involution cutting out the real form."""
         if self.T is not None:
-            t_inv = [[GQ.of(self.eta) * v for v in row] for row in linalg.conjugate(self.T)]
+            eta = self.system.spec.eta
+            t_inv = [[GQ.of(eta) * v for v in row] for row in linalg.conjugate(self.T)]
             return linalg.matmul(linalg.matmul(self.T, linalg.conjugate(x)), t_inv)
         if self.s is not None:
             # sigma(X) = -s^{-1} X^dagger s; the model forms satisfy s^2 = 1
@@ -75,7 +74,7 @@ class MatrixModel:
                     else:
                         # s(e_a, e_b) = sum_i T[i][a] B[i][b], with T sparse
                         acc = ZERO
-                        for i in range(self.n):
+                        for i in range(self.system.spec.ambient_dim):
                             t = self.T[i][start + kk]
                             if t.is_zero():
                                 continue
@@ -143,7 +142,7 @@ def build_model(system: RootSystem) -> MatrixModel:
         elif b.kind == "zero":
             _zero_forms(spec, b, at[0], T, B, eps)
 
-    model = MatrixModel(system, n, B, s, T, eta, slices)
+    model = MatrixModel(system, B, s, T, slices)
     model.center = build_center_basis(model)
     _verify_model(model)
     return model
@@ -202,11 +201,11 @@ def _zero_forms(spec: GroupSpec, b: Block, a: int, T: Optional[Mat], B: Mat,
 
 
 def _verify_model(model: MatrixModel):
-    n = model.n
     spec = model.system.spec
+    n = spec.ambient_dim
     if model.T is not None:
         tt = linalg.matmul(model.T, linalg.conjugate(model.T))
-        expect = GQ.of(model.eta)
+        expect = GQ.of(spec.eta)
         for i in range(n):
             for j in range(n):
                 want = expect if i == j else ZERO
@@ -266,7 +265,7 @@ def build_center_basis(model: MatrixModel) -> List[Mat]:
     weight's value re[c] + i im[c], and by 0 on the zero weight space."""
     out = []
     for c in range(model.system.dim_c):
-        z = linalg.zeros(model.n)
+        z = linalg.zeros(model.system.spec.ambient_dim)
         for r in model.system.standard:
             start, size = model.slices[r.label]
             for k in range(start, start + size):

@@ -1,6 +1,6 @@
 """Floating-point verification of the symbolic weight decomposition.
 
-The oracle takes the same block data, builds the explicit matrix model, and
+The oracle takes the root system, builds the explicit matrix model, and
 then ignores everything the symbolic side knows. It recovers the weight
 decomposition numerically:
 
@@ -22,6 +22,12 @@ signatures are recovered here numerically; a standard weight that disagrees
 with the forms fails the model's sigma or skewness checks. Each report also
 carries how far the accepted quantities sit from their tolerances.
 
+Each stage takes only the result of the one before it, and each result
+keeps the root system: ``synthesize_model(system)`` floats the exact model,
+``brute_force_roots(fm)`` recovers the numeric decomposition, and
+``compare_reports(report)`` holds it to the symbolic one. ``oracle_check``
+runs the three.
+
 Floats only live in this module. Every comparison carries an explicit
 tolerance: 1e-9 for eigenvalue clustering, 1e-12 for identities.
 """
@@ -32,14 +38,12 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .blocks import Block
-from .groups import GroupSpec
 from .modelbuild import build_model
-from .roots import RootSystem, root_system
+from .roots import AdjointRoot, RootSystem, StandardRoot
 
 CLUSTER_TOL = 1e-9
 EXACT_TOL = 1e-12
@@ -66,6 +70,7 @@ class NumericWeight:
 
 @dataclass
 class NumericRootReport:
+    system: RootSystem                    # the root system the model was built from
     standard: List[NumericWeight]
     adjoint: List[NumericWeight]
     dim_g: int
@@ -81,17 +86,16 @@ class NumericRootReport:
 
 @dataclass
 class FloatModel:
-    n: int
+    system: RootSystem
     B: Optional[np.ndarray]
     s: Optional[np.ndarray]
     T: Optional[np.ndarray]
-    eta: Optional[int]
     centers: List[np.ndarray]
 
     def sigma(self, x: np.ndarray) -> Optional[np.ndarray]:
         """sigma of a matrix, or of each matrix in a stack (last two axes)."""
         if self.T is not None:
-            t_inv = self.eta * np.conj(self.T)
+            t_inv = self.system.spec.eta * np.conj(self.T)
             return self.T @ np.conj(x) @ t_inv
         if self.s is not None:
             return -self.s @ np.swapaxes(np.conj(x), -1, -2) @ self.s
@@ -106,11 +110,10 @@ def synthesize_model(system: RootSystem, cap: int = DEFAULT_CAP) -> FloatModel:
         raise OracleError(f"ambient dimension {n} exceeds cap {cap}")
     exact = build_model(system)
     fm = FloatModel(
-        exact.n,
+        system,
         None if exact.B is None else _to_np(exact.B),
         None if exact.s is None else _to_np(exact.s),
         None if exact.T is None else _to_np(exact.T),
-        exact.eta,
         [_to_np(z) for z in exact.center],
     )
     _check_float_model(fm)
@@ -118,8 +121,9 @@ def synthesize_model(system: RootSystem, cap: int = DEFAULT_CAP) -> FloatModel:
 
 
 def _check_float_model(fm: FloatModel):
+    spec = fm.system.spec
     if fm.T is not None:
-        res = np.abs(fm.T @ np.conj(fm.T) - fm.eta * np.eye(fm.n)).max()
+        res = np.abs(fm.T @ np.conj(fm.T) - spec.eta * np.eye(spec.ambient_dim)).max()
         if res > EXACT_TOL:
             raise OracleError(f"tau^2 deviates from eta by {res}")
     for z in fm.centers:
@@ -142,7 +146,7 @@ def _algebra_basis(fm: FloatModel) -> np.ndarray:
     symmetric and symmetric when B is skew, so the algebra is B^-1 times the
     skew (or symmetric) matrices. Without a form it is sl(n): the off-diagonal
     units and an orthonormal basis of the traceless diagonal."""
-    n = fm.n
+    n = fm.system.spec.ambient_dim
     if fm.B is None:
         off = [i * n + j for i in range(n) for j in range(n) if i != j]
         # columns e_i - e_(i+1) span the traceless diagonal
@@ -171,7 +175,7 @@ def _ad_matrices(fm: FloatModel, basis: np.ndarray) -> Tuple[List[np.ndarray], f
     """ad(z) of each center element in the orthonormal basis, with the largest
     normality residual |ad ad^H - ad^H ad|; raises unless every ad is normal
     (a non-semisimple center element gives a non-normal ad)."""
-    eye = np.eye(fm.n)
+    eye = np.eye(fm.system.spec.ambient_dim)
     left, right = basis.conj(), basis.T
     # vec(z X - X z) = (z (x) I - I (x) z^T) vec(X) for row-major vec
     ads = [left @ (np.kron(z, eye) - np.kron(eye, z.T)) @ right for z in fm.centers]
@@ -227,10 +231,10 @@ def _joint_eigenspaces(ads: List[np.ndarray], dim_g: int, tol: float, seed: int)
     raise OracleError(problem)
 
 
-def brute_force_roots(system: RootSystem, fm: FloatModel, tol: float = CLUSTER_TOL,
+def brute_force_roots(fm: FloatModel, tol: float = CLUSTER_TOL,
                       seed: int = 0) -> NumericRootReport:
     """Simultaneous eigendecomposition of ad(center) on the ambient algebra."""
-    n = fm.n
+    n = fm.system.spec.ambient_dim
     basis = _algebra_basis(fm)
     dim_g = basis.shape[0]
     ads, normality = _ad_matrices(fm, basis)
@@ -261,19 +265,23 @@ def brute_force_roots(system: RootSystem, fm: FloatModel, tol: float = CLUSTER_T
         if not nz:
             zero_dim += cnt
             continue
-        sig = None
-        if has_sigma:
-            g = gram[a:b, a:b]
-            ev = np.linalg.eigvalsh((g + g.conj().T) / 2)
-            scale = max(1.0, np.abs(ev).max())
-            pos = int((ev > GRAM_TOL * scale).sum())
-            neg = int((ev < -GRAM_TOL * scale).sum())
-            sig = (pos, neg, cnt - pos - neg)
+        sig = _inertia(gram[a:b, a:b]) if has_sigma else None
         weights.append(NumericWeight(tuple(complex(v) for v in value), cnt, sig))
 
-    standard = _standard_weights(system, fm, tol)
-    return NumericRootReport(standard, weights, dim_g, zero_dim, sigma_ok,
+    standard = _standard_weights(fm, tol)
+    return NumericRootReport(fm.system, standard, weights, dim_g, zero_dim, sigma_ok,
                              gap, normality, gram_res, sigma_res)
+
+
+def _inertia(gram: np.ndarray) -> Tuple[int, int, int]:
+    """(pos, neg, null) of a Gram's Hermitian part: its eigenvalues above,
+    below and within GRAM_TOL times the larger of 1 and their largest
+    magnitude."""
+    ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    scale = max(1.0, float(np.abs(ev).max()))
+    pos = int((ev > GRAM_TOL * scale).sum())
+    neg = int((ev < -GRAM_TOL * scale).sum())
+    return pos, neg, len(ev) - pos - neg
 
 
 def _check_sigma_equivariance(y: np.ndarray, sy: np.ndarray, bounds: np.ndarray,
@@ -299,10 +307,10 @@ def _check_sigma_equivariance(y: np.ndarray, sy: np.ndarray, bounds: np.ndarray,
     return bool(found.all()) and residual <= SIGMA_TOL, residual
 
 
-def _standard_weights(system: RootSystem, fm: FloatModel, tol: float):
-    n = fm.n
+def _standard_weights(fm: FloatModel, tol: float):
+    n = fm.system.spec.ambient_dim
     k = len(fm.centers)
-    skew = system.spec.eta_epsilon == -1
+    skew = fm.system.spec.eta_epsilon == -1
     if k == 0:
         groups_: List[List[int]] = [list(range(n))]
     else:
@@ -327,83 +335,66 @@ def _standard_weights(system: RootSystem, fm: FloatModel, tol: float):
         elif fm.s is not None:
             gram = fm.s[np.ix_(g, g)]
         if gram is not None and np.abs(gram - gram.conj().T).max() < GRAM_TOL:
-            ev = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-            scale = max(1.0, float(np.abs(ev).max()) if len(ev) else 1.0)
-            pos = int((ev > GRAM_TOL * scale).sum())
-            neg = int((ev < -GRAM_TOL * scale).sum())
-            if pos + neg == len(g):
+            pos, neg, null = _inertia(gram)
+            if null == 0:
                 sig = (pos, neg, 0)
         out.append(NumericWeight(value, len(g), sig))
     return out
 
 
-def compare_reports(system: RootSystem, report: NumericRootReport,
-                    tol: float = CLUSTER_TOL) -> List[str]:
-    """Mismatches between the symbolic decomposition and the numeric one."""
+def _match(level: str, symbolic: Iterable[Union[StandardRoot, AdjointRoot]],
+           numeric: List[NumericWeight], tol: float) -> List[str]:
+    """Mismatches on one weight level ("adjoint" or "standard"): every
+    symbolic weight needs a numeric one of its value, dimension and
+    signature, and every numeric weight a symbolic one. Only adjoint weights
+    have their pure-imaginary flag checked; a message about one standard
+    weight names its level, one about an adjoint weight does not."""
     problems: List[str] = []
-    k = system.dim_c
+    name = "" if level == "adjoint" else f"{level} "
+    matched = set()
+    for r in symbolic:
+        value = tuple(float(a) + 1j * float(b) for a, b in zip(r.re, r.im))
+        w = next((w for w in numeric if len(w.value) == len(value) and
+                  all(abs(a - b) < 1000 * tol for a, b in zip(w.value, value))), None)
+        if w is None:
+            problems.append(f"{level} weight {r.label} not found numerically")
+            continue
+        matched.add(id(w))
+        if w.dim != r.dim:
+            problems.append(f"{name}{r.label}: numeric dim {w.dim} != {r.dim}")
+        # only a pure imaginary weight carries a signature
+        if r.sig is not None and w.signature is not None \
+                and (r.sig.pos, r.sig.neg, 0) != w.signature:
+            problems.append(f"{name}{r.label}: numeric signature {w.signature} != {r.sig}")
+        if level == "adjoint" and \
+                bool(r.pure_imaginary) != all(abs(v.real) < 100 * tol for v in w.value):
+            problems.append(f"{r.label}: pure-imaginary flag disagrees numerically")
+    problems += [f"numeric {level} weight {w.value} has no symbolic match"
+                 for w in numeric if id(w) not in matched]
+    return problems
 
-    def to_value(re, im):
-        return tuple(float(a) + 1j * float(b) for a, b in zip(re, im))
 
-    def find(weights, value):
-        for w in weights:
-            if len(w.value) == len(value) and \
-                    all(abs(a - b) < 1000 * tol for a, b in zip(w.value, value)):
-                return w
-        return None
-
-    # adjoint level
-    total, expect = system.dim_audit()
+def compare_reports(report: NumericRootReport, tol: float = CLUSTER_TOL) -> List[str]:
+    """Mismatches between the symbolic decomposition of the report's root
+    system and the numeric one."""
+    system = report.system
+    problems: List[str] = []
+    expect = system.spec.dim_complexified
     if report.dim_g != expect:
         problems.append(f"numeric algebra dimension {report.dim_g} != {expect}")
     if report.zero_dim != system.dim_g0:
         problems.append(f"zero weight space: numeric {report.zero_dim}, "
                         f"symbolic {system.dim_g0}")
-    matched = set()
-    for r in system.adjoint:
-        w = find(report.adjoint, to_value(r.re, r.im))
-        if w is None:
-            problems.append(f"adjoint weight {r.label} not found numerically")
-            continue
-        matched.add(id(w))
-        if w.dim != r.dim:
-            problems.append(f"{r.label}: numeric dim {w.dim} != {r.dim}")
-        if r.pure_imaginary and r.sig is not None and w.signature is not None:
-            if (r.sig.pos, r.sig.neg, 0) != w.signature:
-                problems.append(f"{r.label}: numeric signature {w.signature} "
-                                f"!= {r.sig}")
-        numeric_pure_im = all(abs(v.real) < 100 * tol for v in w.value)
-        if bool(r.pure_imaginary) != numeric_pure_im:
-            problems.append(f"{r.label}: pure-imaginary flag disagrees numerically")
-    for w in report.adjoint:
-        if id(w) not in matched:
-            problems.append(f"numeric adjoint weight {w.value} has no symbolic match")
+    problems += _match("adjoint", system.adjoint, report.adjoint, tol)
     if not report.sigma_equivariant:
         problems.append("sigma equivariance of weight spaces failed")
-
-    # standard level
-    matched = set()
-    for r in system.standard_by_label().values():
-        w = find(report.standard, to_value(r.re, r.im))
-        if w is None:
-            problems.append(f"standard weight {r.label} not found numerically")
-            continue
-        matched.add(id(w))
-        if w.dim != r.dim:
-            problems.append(f"standard {r.label}: numeric dim {w.dim} != {r.dim}")
-        if r.sig is not None and w.signature is not None:
-            if (r.sig.pos, r.sig.neg, 0) != w.signature:
-                problems.append(f"standard {r.label}: numeric signature "
-                                f"{w.signature} != {r.sig}")
-    for w in report.standard:
-        if id(w) not in matched:
-            problems.append(f"numeric standard weight {w.value} has no symbolic match")
+    problems += _match("standard", system.standard_by_label().values(), report.standard, tol)
     return problems
 
 
-def oracle_check(spec: GroupSpec, blocks: Sequence[Block], seed: int = 0,
-                 tol: float = CLUSTER_TOL, cap: int = DEFAULT_CAP) -> List[str]:
-    system = root_system(spec, blocks)
-    report = brute_force_roots(system, synthesize_model(system, cap), tol, seed)
-    return compare_reports(system, report, tol)
+def oracle_check(system: RootSystem, seed: int = 0, tol: float = CLUSTER_TOL,
+                 cap: int = DEFAULT_CAP) -> List[str]:
+    """The three stages on one root system: its floated model, the numeric
+    decomposition of that model, and the mismatches against the symbolic one."""
+    fm = synthesize_model(system, cap)
+    return compare_reports(brute_force_roots(fm, tol, seed), tol)

@@ -8,10 +8,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import scenario as sc_mod
-from .blocks import Block
+from .blocks import Block, ScenarioError
 from .classify import FlexVerdict, InternalConsistencyError, balance_instance, classify
 from .exact import Signature
-from .oracle import brute_force_roots, compare_reports, synthesize_model
+from .oracle import oracle_check
 from .roots import RootSystem, root_system
 from .scenario import Scenario
 from .toledo import Propagation, propagate_constraints
@@ -74,6 +74,10 @@ class RunResult:
 
 
 def run_scenario(sc: Scenario) -> RunResult:
+    opts = sc.options
+    if opts.oracle and sc.spec.ambient_dim > opts.cap:
+        raise ScenarioError(f"oracle cap {opts.cap} is below the ambient dimension "
+                            f"{sc.spec.ambient_dim} of {sc.spec.describe()}")
     system = root_system(sc.spec, sc.blocks)
     factors, dim_c = center_dim_crosscheck(system)
     if factors != dim_c:
@@ -82,10 +86,8 @@ def run_scenario(sc: Scenario) -> RunResult:
     prop = propagate_constraints(system, sc.decorations, sc.surface)
     verdict = classify(prop)
     oracle_problems = None
-    if sc.options.oracle:
-        fm = synthesize_model(system, sc.options.cap)
-        numeric = brute_force_roots(system, fm, sc.options.tolerance, sc.options.seed)
-        oracle_problems = compare_reports(system, numeric, sc.options.tolerance)
+    if opts.oracle:
+        oracle_problems = oracle_check(system, opts.seed, opts.tolerance, opts.cap)
     return RunResult(sc, prop, verdict, oracle_problems)
 
 

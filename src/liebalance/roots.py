@@ -95,6 +95,8 @@ class RootSystem:
     zero: Optional[StandardRoot]
     adjoint: List[AdjointRoot]
     dim_g0: int
+    # the geometry's integer (re, im) of each adjoint weight, in `adjoint` order
+    adjoint_parts: Tuple[Tuple[IntVec, IntVec], ...]
 
     def __post_init__(self):
         self._by_label = {r.label: r for r in self.standard}
@@ -368,7 +370,8 @@ def _signed(spec: GroupSpec, blocks: List[Block], geo: WeightGeometry) -> RootSy
                        _adjoint_sig(spec, r.dim, rule, spaces), r.source)
                for r, rule in zip(geo.adjoint, geo.adjoint_sigs)]
     zero, standard = (None, spaces) if geo.zero is None else (spaces[0], spaces[1:])
-    return RootSystem(spec, blocks, geo.dim_c, standard, zero, adjoint, geo.dim_g0)
+    return RootSystem(spec, blocks, geo.dim_c, standard, zero, adjoint, geo.dim_g0,
+                      geo.adjoint_parts)
 
 
 def root_system(spec: GroupSpec, blocks: Sequence[Block],

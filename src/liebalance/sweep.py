@@ -26,7 +26,7 @@ from .blocks import Block, ScenarioError
 from .classify import InternalConsistencyError, assignments, balance_vectors, classify
 from .exact import Signature
 from .groups import Family
-from .roots import root_system, skeleton, weight_geometry
+from .roots import root_system, weight_geometry
 from .toledo import ALL_TAGS, propagate_constraints
 
 
@@ -106,7 +106,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     The configurations of one sweep ask the same balancedness questions again
     and again, so a memo that dies with the call decides each once. Each run
     forms its `balance.canonical_key_of` from `classify.balance_vectors`
-    over the geometry's integer adjoint parts and the run's statuses, and
+    over the root system's integer adjoint parts and the run's statuses, and
     only a new key builds its canonical instance for `is_balanced`. A run
     and its conjugate, every maximal status flipped, ask (P, N) and (-P, N),
     which share a key. So a sweep's certificates belong to canonical
@@ -121,9 +121,10 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     res = SweepResult(family, bound)
     by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
 
-    def decide(parts, prop) -> BalancednessCertificate:
-        # prop.statuses and the geometry's parts share the label order
-        key = canonical_key_of(prop.system.dim_c, *balance_vectors(parts, prop.statuses))
+    def decide(prop) -> BalancednessCertificate:
+        # prop.statuses and the system's adjoint_parts share the label order
+        key = canonical_key_of(prop.system.dim_c,
+                               *balance_vectors(prop.system.adjoint_parts, prop.statuses))
         cert = by_key.get(key)
         if cert is None:
             cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
@@ -133,8 +134,6 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     for blocks_ in _configurations(family, bound):
         spec = bk.spec_for(family, blocks_)
         system = root_system(spec, blocks_, geometry)
-        decide_here = functools.partial(
-            decide, geometry(spec.family, skeleton(system.blocks)).adjoint_parts)
         res.configurations += 1
         base = propagate_constraints(system, [])
         for rule in base.rules:
@@ -147,7 +146,7 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
                     f"{spec.describe()}/{rule.root.label}: untagged forcing")
         for assignment in assignments(_decoration_targets(system)):
             try:
-                verdict = classify(base.substituted(assignment), decide_here)
+                verdict = classify(base.substituted(assignment), decide)
             except InternalConsistencyError as exc:
                 res.mismatches.append(f"{spec.describe()}: {exc}")
                 continue

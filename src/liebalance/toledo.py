@@ -216,8 +216,8 @@ def propagate_constraints(system: RootSystem, decorations: Sequence[Decoration],
     one status setting it asks for, and substitute those settings. A pure
     function of the inputs, hence idempotent."""
     std = system.standard_by_label()
-    rules = {root.label: _rule(system, root)
-             for root in sorted(system.adjoint, key=lambda r: r.label)}
+    # system.adjoint is sorted by label, and the rules keep its order
+    rules = {root.label: _rule(system, root) for root in system.adjoint}
 
     # without a sesquilinear structure, or on a definite one (a compact
     # action, T = 0), a weight is non-maximal; elsewhere it is undecided

@@ -132,7 +132,7 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
     for fam in Family:
         for _ in range(per_family):
             spec, bl = random_scenario(fam, rng, cap=12)
-            problems = oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6),
+            problems = oracle_check(root_system(spec, bl), seed=rng.randint(0, 10 ** 6),
                                     tol=1e-9, cap=12)
             assert problems == [], (spec.describe(), problems[:4])
             total += 1
@@ -150,7 +150,7 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
             spec, bl = random_scenario(fam, rng2, cap=12)
             sysr = root_system(spec, bl)
             fm = synthesize_model(sysr)
-            rep = brute_force_roots(sysr, fm, seed=3)
+            rep = brute_force_roots(fm, seed=3)
             total_dim, expect = sysr.dim_audit()
             assert total_dim == expect == spec.dim_complexified
             assert rep.zero_dim + sum(w.dim for w in rep.adjoint) == expect

@@ -68,3 +68,14 @@ def test_full_report_passes():
     assert "complex_structure_image_m4" in names
     assert "q_part_projections_intertwine_brackets" in names
     assert "split_form_sl2r_invariant" in names
+    assert [c.name for c in rep.checks] == [
+        "s_split_shape_m2", "s_split_shape_m4",
+        "projector_into_algebra_m2", "rho_action_compatible_m2",
+        "rho_image_s_skew_m2", "rho_image_traceless_m2",
+        "projector_into_algebra_m4", "rho_action_compatible_m4",
+        "rho_image_s_skew_m4", "rho_image_traceless_m4",
+        "complex_structure_image_m2", "complex_structure_image_m4",
+        "q_part_in_algebra", "q_part_block_diagonal", "q_part_components_in_su11",
+        "q_part_projection_1_injective", "q_part_projection_2_injective",
+        "q_part_projections_intertwine_brackets", "split_form_sl2r_invariant",
+    ]

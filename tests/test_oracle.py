@@ -11,7 +11,7 @@ from liebalance import blocks, groups, linalg
 from liebalance.exact import I, ONE, ZERO, GaussianRational as GQ, gmat, is_hermitian, signature_of
 from liebalance.groups import Family
 from liebalance.modelbuild import Mat, MatrixModel, build_center_basis, build_model
-from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, OracleError,
+from liebalance.oracle import (EXACT_TOL, GRAM_TOL, SIGMA_TOL, NumericWeight, OracleError,
                                _ad_matrices, _algebra_basis, brute_force_roots,
                                compare_reports, oracle_check, synthesize_model)
 from liebalance.randomgen import random_scenario
@@ -26,12 +26,12 @@ def test_synthesize_small_examples():
     # so(2,C) is abelian of dimension 1: the algebra is its own center
     sys = root_system(groups.so_c(2), [blocks.dual_pair(1, 1)])
     fm = synthesize_model(sys, cap=12)
-    rep = brute_force_roots(sys, fm)
+    rep = brute_force_roots(fm)
     assert rep.dim_g == 1 and sys.dim_c == 2 and not rep.adjoint
     # sp(2,C) = sl(2,C)
     sys = root_system(groups.sp_c(2), [blocks.dual_pair(1, 1)])
     fm = synthesize_model(sys, cap=12)
-    rep = brute_force_roots(sys, fm)
+    rep = brute_force_roots(fm)
     assert rep.dim_g == 3
     # the SU(1,1) model carries the split diagonal form (entries 1, -1, in
     # canonical block order)
@@ -52,7 +52,7 @@ def test_compact_model_definite_weight_spaces():
                       [blocks.imag_pair(1, 1, (1, 0), label="a"),
                        blocks.imag_pair(1, 1, (1, 0), label="b")])
     fm = synthesize_model(sys)
-    rep = brute_force_roots(sys, fm)
+    rep = brute_force_roots(fm)
     for w in rep.adjoint:
         assert w.signature is not None
         pos, neg, null = w.signature
@@ -65,7 +65,7 @@ def test_dims_always_sum():
         spec, bl = random_scenario(fam, rng)
         sys = root_system(spec, bl)
         fm = synthesize_model(sys)
-        rep = brute_force_roots(sys, fm, seed=11)
+        rep = brute_force_roots(fm, seed=11)
         assert rep.zero_dim + sum(w.dim for w in rep.adjoint) == rep.dim_g
         assert rep.dim_g == spec.dim_complexified
 
@@ -73,7 +73,7 @@ def test_dims_always_sum():
 def test_sigma_equivariance_reported():
     sys = root_system(groups.sl_r(4), [blocks.conj_pair(2, 1)])
     fm = synthesize_model(sys)
-    rep = brute_force_roots(sys, fm)
+    rep = brute_force_roots(fm)
     assert rep.sigma_equivariant
 
 
@@ -82,7 +82,7 @@ def test_oracle_agrees_across_families():
     for fam in Family:
         for _ in range(3):
             spec, bl = random_scenario(fam, rng)
-            assert oracle_check(spec, bl, seed=rng.randint(0, 10 ** 6)) == []
+            assert oracle_check(root_system(spec, bl), seed=rng.randint(0, 10 ** 6)) == []
 
 
 def test_random_scenario_rejects_a_cap_below_the_family_minimum():
@@ -125,7 +125,7 @@ def test_inverse_rejects_singular_matrices():
 
 def adjoint_space_basis(model: MatrixModel, root: AdjointRoot) -> List[Mat]:
     """Exact basis of one adjoint weight space inside the ambient algebra."""
-    n = model.n
+    n = model.system.spec.ambient_dim
     binv = None if model.B is None else inverse(model.B)
     if root.source[0] == "hom":
         _, a_label, b_label = root.source
@@ -164,7 +164,7 @@ def _skew_extend(model: MatrixModel, binv: Optional[Mat], f: Mat) -> Mat:
     families (no form, no binv) the block itself is already in the algebra."""
     if binv is None:
         return f
-    n = model.n
+    n = model.system.spec.ambient_dim
     corr = linalg.matmul(linalg.matmul(binv, linalg.transpose(f)), model.B)
     return [[f[i][j] - corr[i][j] for j in range(n)] for i in range(n)]
 
@@ -272,7 +272,7 @@ def test_adjoint_space_basis_is_form_skew_across_fresh_models():
 
 def _reference_algebra_basis(fm):
     """Null space of X -> X^T B + B X (or traceless matrices) by SVD."""
-    n = fm.n
+    n = fm.system.spec.ambient_dim
     if fm.B is None:
         rows = []
         for i in range(n):
@@ -300,7 +300,7 @@ def _reference_algebra_basis(fm):
 
 
 def _reference_ad(fm, basis):
-    n = fm.n
+    n = fm.system.spec.ambient_dim
     out = []
     for z in fm.centers:
         cols = [(z @ r.reshape(n, n) - r.reshape(n, n) @ z).reshape(-1) for r in basis]
@@ -310,7 +310,7 @@ def _reference_ad(fm, basis):
 
 def _reference_roots(fm, tol=1e-9, seed=0):
     """(dim_g, zero_dim, sigma_equivariant, [(value, dim, signature)])."""
-    n = fm.n
+    n = fm.system.spec.ambient_dim
     basis = _reference_algebra_basis(fm)
     dim_g = basis.shape[0]
     ads = _reference_ad(fm, basis)
@@ -379,7 +379,7 @@ def test_eigh_pipeline_matches_loop_and_svd_reference():
             fm = synthesize_model(sys, cap=12)
             seed = rng.randint(0, 10 ** 6)
             basis = _algebra_basis(fm)
-            n = fm.n
+            n = fm.system.spec.ambient_dim
             # orthonormal rows lying in the algebra
             assert np.abs(basis.conj() @ basis.T - np.eye(len(basis))).max() < 1e-12
             for row in basis:
@@ -389,7 +389,7 @@ def test_eigh_pipeline_matches_loop_and_svd_reference():
             ads, _ = _ad_matrices(fm, basis)
             for ad, ref in zip(ads, _reference_ad(fm, basis)):
                 assert np.abs(ad - ref).max() < 1e-12
-            rep = brute_force_roots(sys, fm, seed=seed)
+            rep = brute_force_roots(fm, seed=seed)
             dim_g, zero_dim, sigma_ok, ref_weights = _reference_roots(fm, seed=seed)
             assert (rep.dim_g, rep.zero_dim, rep.sigma_equivariant) == \
                 (dim_g, zero_dim, sigma_ok), spec.describe()
@@ -405,7 +405,7 @@ def test_non_semisimple_center_is_rejected():
     fm = synthesize_model(sys)
     fm.centers = [np.array([[0, 1], [0, 0]], dtype=complex)]
     with pytest.raises(OracleError, match="not normal"):
-        brute_force_roots(sys, fm)
+        brute_force_roots(fm)
 
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "demos" / "scenarios").glob("*.json"))
@@ -416,7 +416,7 @@ def test_diagnostics_clear_their_tolerances_on_demo_scenarios(path):
     """Each diagnostic sits at least a factor 1000 inside its tolerance."""
     sc = load(str(path))
     sys = root_system(sc.spec, sc.blocks)
-    rep = brute_force_roots(sys, synthesize_model(sys, sc.options.cap),
+    rep = brute_force_roots(synthesize_model(sys, sc.options.cap),
                             sc.options.tolerance, sc.options.seed)
     margin = 1e3
     assert rep.min_cluster_gap >= margin * 100 * sc.options.tolerance
@@ -559,7 +559,7 @@ def _reference_model(system) -> MatrixModel:
                     B[st + k][st + h + k] = ONE
                     B[st + h + k][st + k] = -ONE
 
-    model = MatrixModel(system, n, B, s, T, eta, slices)
+    model = MatrixModel(system, B, s, T, slices)
     model.center = build_center_basis(model)
     return model
 
@@ -655,11 +655,9 @@ def _scenarios_with(kind, per_family=3):
 
 def _rejected(spec, bl) -> bool:
     try:
-        system = root_system(spec, bl)
-        report = brute_force_roots(system, synthesize_model(system), seed=3)
+        return bool(oracle_check(root_system(spec, bl), seed=3))
     except (AssertionError, OracleError):
         return True
-    return bool(compare_reports(system, report))
 
 
 def _verdict(spec, bl):
@@ -687,3 +685,89 @@ def test_weight_table_flip_is_caught(monkeypatch, flip):
     else:
         for spec, bl in cases:
             assert _rejected(spec, bl), spec.describe()
+
+
+# --- every message of compare_reports ------------------------------------------
+# A true SU(2,1) report, doctored one way at a time; the strings were recorded
+# before the two weight levels shared one matcher.
+
+def _su21_report():
+    system = root_system(groups.su(2, 1), [blocks.sesq_self(1, (1, 0), (1, 0), label="a"),
+                                           blocks.sesq_self(1, (1, 0), (1, 0), label="b"),
+                                           blocks.sesq_self(1, (0, 1), (1, 0), label="c")])
+    return brute_force_roots(synthesize_model(system))
+
+
+def _bump_dim(w):
+    w.dim += 1
+
+
+def _flip_signature(w):
+    w.signature = (w.signature[1], w.signature[0], w.signature[2])
+
+
+def _nudge_real_part(w):
+    # off the pure-imaginary axis by more than 100 * tol, still within the
+    # matching distance 1000 * tol
+    w.value = (w.value[0] + 5e-7,) + w.value[1:]
+
+
+DOCTORS = {
+    "dropped": (lambda r: (r.adjoint.pop(0), r.standard.pop(0)),
+                ["adjoint weight a:il->b:il not found numerically",
+                 "standard weight c:il not found numerically"]),
+    "extra": (lambda r: (r.adjoint.append(NumericWeight((5j, 5j), 1, (1, 0, 0))),
+                         r.standard.append(NumericWeight((3j, 3j), 1, (1, 0, 0)))),
+              ["numeric adjoint weight (5j, 5j) has no symbolic match",
+               "numeric standard weight (3j, 3j) has no symbolic match"]),
+    "dimension": (lambda r: (_bump_dim(r.adjoint[0]), _bump_dim(r.standard[0])),
+                  ["a:il->b:il: numeric dim 2 != 1",
+                   "standard c:il: numeric dim 2 != 1"]),
+    "signature": (lambda r: (_flip_signature(r.adjoint[0]),
+                             _flip_signature(r.standard[0])),
+                  ["a:il->b:il: numeric signature (1, 0, 0) != (0,1)",
+                   "standard c:il: numeric signature (1, 0, 0) != (0,1)"]),
+    "pure_imaginary": (lambda r: _nudge_real_part(r.adjoint[0]),
+                       ["a:il->b:il: pure-imaginary flag disagrees numerically"]),
+    "sigma": (lambda r: setattr(r, "sigma_equivariant", False),
+              ["sigma equivariance of weight spaces failed"]),
+    "dim_g": (lambda r: setattr(r, "dim_g", r.dim_g + 1),
+              ["numeric algebra dimension 9 != 8"]),
+    "zero_dim": (lambda r: setattr(r, "zero_dim", r.zero_dim + 1),
+                 ["zero weight space: numeric 3, symbolic 2"]),
+}
+
+
+@pytest.mark.parametrize("name", DOCTORS)
+def test_compare_reports_names_each_doctored_quantity(name):
+    report = _su21_report()
+    assert compare_reports(report) == []
+    doctor, messages = DOCTORS[name]
+    doctor(report)
+    assert compare_reports(report) == messages
+
+
+def test_compare_reports_keeps_its_message_order():
+    report = _su21_report()
+    for name in ("dim_g", "zero_dim", "sigma"):
+        DOCTORS[name][0](report)
+    for weights in (report.adjoint, report.standard):
+        _bump_dim(weights[0])
+        _flip_signature(weights[0])
+        weights.pop()
+    _nudge_real_part(report.adjoint[0])
+    DOCTORS["extra"][0](report)
+    assert compare_reports(report) == [
+        "numeric algebra dimension 9 != 8",
+        "zero weight space: numeric 3, symbolic 2",
+        "a:il->b:il: numeric dim 2 != 1",
+        "a:il->b:il: numeric signature (1, 0, 0) != (0,1)",
+        "a:il->b:il: pure-imaginary flag disagrees numerically",
+        "adjoint weight b:il->a:il not found numerically",
+        "numeric adjoint weight (5j, 5j) has no symbolic match",
+        "sigma equivariance of weight spaces failed",
+        "standard c:il: numeric dim 2 != 1",
+        "standard c:il: numeric signature (1, 0, 0) != (0,1)",
+        "standard weight b:il not found numerically",
+        "numeric standard weight (3j, 3j) has no symbolic match",
+    ]

@@ -122,6 +122,21 @@ def test_cli_check_with_oracle(tmp_path):
     assert main(["check", str(path)]) == 0
 
 
+@pytest.mark.parametrize("oracle, flags", [(True, []), (False, ["--oracle"])],
+                         ids=["file", "flag"])
+def test_cli_check_oracle_cap_below_the_group_exits_3(tmp_path, capsys, oracle, flags):
+    # the cap is the scenario's own limit, so a group above it is bad input
+    sc = su23_scenario(oracle=oracle)
+    sc["options"]["cap"] = 3
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(sc))
+    assert main(["check", str(path), *flags]) == 3
+    err = capsys.readouterr().err
+    assert "validation error: oracle cap 3 is below the ambient dimension 5 of SU(2,3)" in err
+    # without the oracle the cap asks for nothing
+    assert main(["check", str(path), "--no-oracle"]) == 0
+
+
 def test_cli_sweep(capsys):
     assert main(["--format", "text", "sweep", "SL_H", "6"]) == 0
     out = capsys.readouterr().out

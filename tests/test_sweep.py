@@ -4,15 +4,18 @@ check of every decision against the rigidity theorem."""
 
 import hashlib
 import itertools
+import random
 from typing import Iterable, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liebalance import balance, blocks, roots, sweep
 from liebalance import classify as classify_mod
 from liebalance import groups
 from liebalance.cli import main
 from liebalance.groups import Family
+from liebalance.randomgen import random_scenario
 from liebalance.toledo import Decoration, Status, propagate_constraints
 
 
@@ -72,6 +75,24 @@ def test_each_runs_integer_key_is_its_instances_canonical_key(monkeypatch, famil
     res = sweep.run_sweep(family, bound)
     assert formed == expected
     assert len(formed) == res.runs and res.ok
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(list(Family)), st.integers(0, 10 ** 6))
+def test_rules_and_integer_parts_follow_the_adjoint_order(family, seed):
+    """A sweep's `decide` reads `prop.statuses` against `system.adjoint_parts`:
+    the rules keep the order of `system.adjoint`, and one positive integer
+    denominator carries each integer part onto its weight's exact (re, im)."""
+    system = roots.root_system(*random_scenario(family, random.Random(seed)))
+    prop = propagate_constraints(system, [])
+    assert [r.root for r in prop.rules] == system.adjoint
+    assert len(system.adjoint_parts) == len(system.adjoint)
+    pairs = [(x, f) for (re, im), r in zip(system.adjoint_parts, system.adjoint)
+             for x, f in zip(re + im, r.re + r.im)]
+    assert all((x == 0) == (f == 0) for x, f in pairs)
+    ratios = {x / f for x, f in pairs if f}
+    assert len(ratios) <= 1
+    assert all(d > 0 and d.denominator == 1 for d in ratios)
 
 
 def test_each_skeleton_gets_one_geometry_per_sweep(monkeypatch):
