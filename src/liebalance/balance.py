@@ -21,6 +21,12 @@ or adding a zero vector changes neither. Nor does negating all of P: c and d
 solve sum c_i p_i + sum d_j n_j = 0 exactly when c and -d solve it for -P,
 and phi fits (P, N) exactly when -phi fits (-P, N). `canonical_key` reduces
 an instance to the smallest one of its sign class, as integers.
+
+Nor, beyond that, does anything but the image of P in R^k / span(N): with pi
+the quotient map, conv(P) + span(N) is the preimage of conv(pi(P)), and pi
+is open, so (P, N) is balanced exactly when (pi(P), ()) is. `quotient_key`
+gives the canonical key of that image, in the coordinates off the pivots of
+N's echelon form.
 """
 
 from __future__ import annotations
@@ -154,6 +160,29 @@ def canonical_key_of(k: int, p_vectors: Iterable[IntVec], n_vectors: Iterable[In
     # (-P, N) has the verdict of (P, N): keep whichever P sorts first
     p = min(sorted(ps), sorted(tuple(-x for x in v) for v in ps))
     return k, tuple(p), tuple(sorted(ns))
+
+
+def quotient_key(key: CanonicalKey) -> CanonicalKey:
+    """The canonical key of the image of (P, N) in R^k / span(N), which has
+    the verdict of (P, N). Each p is reduced top-down against N's integer
+    echelon form, w = e[c]*w - w[c]*e for each row e with pivot c, until it
+    vanishes in every pivot column: e[c] > 0 keeps p's ray, and the pivot
+    columns and that representative of p + span(N) depend only on span(N).
+    The coordinates off the pivots are the image. A key with no N is its
+    own quotient, so keys of one quotient share it and it is idempotent."""
+    k, p_vectors, n_vectors = key
+    if not n_vectors:
+        return key
+    echelon, pivots = linalg.int_echelon(n_vectors)
+    free = [c for c in range(k) if c not in pivots]
+    images = []
+    for w in p_vectors:
+        for e, c in zip(echelon, pivots):
+            wc = w[c]
+            if wc:
+                w = [e[c] * x - wc * y for x, y in zip(w, e)]
+        images.append(tuple(w[c] for c in free))
+    return canonical_key_of(len(free), images, ())
 
 
 class SimplexError(RuntimeError):

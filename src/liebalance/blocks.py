@@ -89,7 +89,8 @@ def conj_pair(d, r=1, label=""):
 def sesq_self(d, class_sig, mult_sig, label=""):
     cs, ms = _sig(class_sig), _sig(mult_sig)
     if cs.dim != d:
-        raise ScenarioError("class signature must have total dimension d")
+        raise ScenarioError(f"class signature ({cs.pos}, {cs.neg}) must have total "
+                            f"dimension {d}")
     block_sig = Signature(cs.pos * ms.pos + cs.neg * ms.neg,
                           cs.pos * ms.neg + cs.neg * ms.pos)
     return Block("sesq_self", d, ms.dim, sig=block_sig,
@@ -103,7 +104,8 @@ def sesq_pair(d, r=1, label=""):
 def imag_pair(d, r, sig, label=""):
     s = _sig(sig)
     if s.dim != d * r:
-        raise ScenarioError("ImagPair signature must have total dimension d*r")
+        raise ScenarioError(f"ImagPair signature ({s.pos}, {s.neg}) must have total "
+                            f"dimension {d * r}")
     return Block("imag_pair", d, r, sig=s, label=label)
 
 
@@ -122,7 +124,8 @@ def dual_pair(d, r=1, label=""):
 def zero_block(d0, sig=None, label=""):
     s = _sig(sig) if sig is not None else None
     if s is not None and s.dim != d0:
-        raise ScenarioError("zero block signature must have total dimension d0")
+        raise ScenarioError(f"zero block signature ({s.pos}, {s.neg}) must have total "
+                            f"dimension {d0}")
     return Block("zero", d0, 1, sig=s, label=label)
 
 

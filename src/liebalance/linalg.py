@@ -5,10 +5,12 @@ Row reduction on small matrices (ambient dimensions stay in the tens), with
 deterministic pivot choice so downstream coordinate conventions are
 reproducible byte for byte. Each elimination step touches only the pivot
 row's nonzero columns, which is most of the saving on the sparse sweep data.
+`int_echelon` reduces integer rows without leaving the integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,6 +48,46 @@ def rref(rows) -> Tuple[List[List[GaussianRational]], List[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+def _primitive_row(row: List[int]) -> List[int]:
+    """The row divided by its gcd, first nonzero entry made positive."""
+    g = math.gcd(*row)
+    if g == 0:
+        return row
+    if next(x for x in row if x) < 0:
+        g = -g
+    return [x // g for x in row]
+
+
+def int_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Row echelon form of integer rows, fraction-free (Bareiss, Math. Comp.
+    22, 1968); returns (the nonzero rows, their pivot columns).
+
+    Forward elimination only: each update is p*row - f*prow, with p the
+    pivot entry and f the row's entry in the pivot column, and each row is
+    then divided by its gcd with its first nonzero entry, its pivot entry,
+    made positive. Later rows vanish in every earlier pivot column. The
+    pivot columns and the rank are `rref`'s."""
+    a = [_primitive_row(list(row)) for row in rows]
+    pivots: List[int] = []
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            if f:
+                a[i] = _primitive_row([p * x - f * y for x, y in zip(a[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots
 
 
 def rank(rows) -> int:

@@ -49,9 +49,11 @@ class Scenario:
 
 
 def _int(value) -> int:
-    """A whole number; refuses booleans and fractional values, which int()
-    would read as 0/1 or truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A whole number: a JSON integer, or a number with no fractional part.
+    Refuses booleans, strings and fractional values, which int() would read
+    as 0/1, parse or truncate."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

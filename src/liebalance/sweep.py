@@ -9,7 +9,9 @@ propagation. `classify` holds every decision to `classify.rigid_shape`, the
 theorem's statement, in both directions, and raises on a contradiction: the
 sweep records each raise as a mismatch, so an unbalanced datum of no rigid
 shape and a balanced one of rigid shape both show up. Every forced status
-must also carry one of the known rule tags.
+must also carry one of the known rule tags. A sweep decides each distinct
+question once, in the quotient by span(N) (`balance.quotient_key`), and
+reads only the outcome.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List
 from . import blocks as bk
 from . import groups
 from .balance import (BalancednessCertificate, BalancednessInstance, CanonicalKey,
-                      canonical_key_of, is_balanced)
+                      canonical_key_of, is_balanced, quotient_key)
 from .blocks import Block, ScenarioError
 from .classify import InternalConsistencyError, assignments, balance_vectors, classify
 from .exact import Signature
@@ -106,13 +108,16 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     The configurations of one sweep ask the same balancedness questions again
     and again, so a memo that dies with the call decides each once. Each run
     forms its `balance.canonical_key_of` from `classify.balance_vectors`
-    over the root system's integer adjoint parts and the run's statuses, and
-    only a new key builds its canonical instance for `is_balanced`. A run
-    and its conjugate, every maximal status flipped, ask (P, N) and (-P, N),
-    which share a key. So a sweep's certificates belong to canonical
-    instances, not to the runs' own, and the sweep reads only their
-    outcomes: every certificate was verified when it was made, so sharing
-    one changes no output. In the same way `geometry` memoizes
+    over the root system's integer adjoint parts and the run's statuses. A
+    run and its conjugate, every maximal status flipped, ask (P, N) and
+    (-P, N), which share a key. A new key is looked up again as its
+    `balance.quotient_key`, the question asked in R^k / span(N), which many
+    keys share, and only a new quotient key builds its instance for
+    `is_balanced`; both keys then map to that certificate. So a sweep's
+    certificates belong to quotient instances, not to the runs' own, and the
+    sweep reads only their outcomes: every certificate was verified when it
+    was made, and the quotient has the run's verdict, so sharing one changes
+    no output. In the same way `geometry` memoizes
     `weight_geometry` for the call: the configurations that differ only in
     signatures share one skeleton, and each root system is signed and
     audited afresh."""
@@ -127,7 +132,11 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
                                *balance_vectors(prop.system.adjoint_parts, prop.statuses))
         cert = by_key.get(key)
         if cert is None:
-            cert = by_key[key] = is_balanced(BalancednessInstance.make(*key))
+            quotient = quotient_key(key)
+            cert = by_key.get(quotient)
+            if cert is None:
+                cert = by_key[quotient] = is_balanced(BalancednessInstance.make(*quotient))
+            by_key[key] = cert
         return cert
 
     geometry = functools.lru_cache(maxsize=None)(weight_geometry)

@@ -12,9 +12,10 @@ Tolerances and bounds are pinned here and nowhere else:
      rigid list with no false positives or negatives, under 10 min; the SU
      and SO* lists equal the theorem's, predicted from block kinds,
      signatures and decorations, and the SU list is closed under
-     (p,q) -> (q,p); the same holds for SU p+q<=8, SO*(2n) 2n<=14,
-     Sp(p,q) 2(p+q)<=10 and SO(p,q) p+q<=10, also under 10 min, where every
-     assignment over every configuration's decoration targets is classified;
+     (p,q) -> (q,p); the same holds for SU p+q<=8 and p+q<=10, SO*(2n)
+     2n<=14, Sp(p,q) 2(p+q)<=14, SO(p,q) p+q<=14, Sp(2m,R) 2m<=14, SL(n,R)
+     n<=14 and SL(m,H) 2m<=14, also under 10 min, where every assignment
+     over every configuration's decoration targets is classified;
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -323,8 +324,10 @@ def test_criterion_4_su_rigid_list_is_symmetric_under_p_q_swap():
 
 # (configurations, decorated runs, rigid runs) of the larger sweeps
 LARGER_SWEEP_COUNTS = {
-    (Family.SU, 8): (1580, 3138, 240), (Family.SO_STAR, 14): (1718, 5068, 52),
-    (Family.SP, 10): (496, 740, 0), (Family.SO, 10): (1641, 2529, 0),
+    (Family.SU, 8): (1580, 3138, 240), (Family.SU, 10): (6366, 14968, 688),
+    (Family.SO_STAR, 14): (1718, 5068, 52), (Family.SP, 14): (2970, 5210, 0),
+    (Family.SO, 14): (11655, 20295, 0), (Family.SP_R, 14): (3183, 8633, 0),
+    (Family.SL_R, 14): (1550, 1550, 0), (Family.SL_H, 14): (248, 248, 0),
 }
 
 
@@ -333,30 +336,37 @@ def test_criterion_4_larger_sweeps_are_the_theorems(capsys, monkeypatch):
     # per decoration target, and the most targets any configuration has
     offered, most_targets = {}, {}
     targets_of = sweep._decoration_targets
+    current = []
 
     def recorded(system):
         targets = targets_of(system)
-        family = system.spec.family
-        offered[family] = offered.get(family, 0) + 3 ** len(targets)
-        most_targets[family] = max(most_targets.get(family, 0), len(targets))
+        key = current[-1]
+        assert system.spec.family == key[0]
+        offered[key] = offered.get(key, 0) + 3 ** len(targets)
+        most_targets[key] = max(most_targets.get(key, 0), len(targets))
         return targets
 
     monkeypatch.setattr(sweep, "_decoration_targets", recorded)
+    sweeps = {}
     t0 = time.time()
-    sweeps = {key: run_sweep(*key) for key in LARGER_SWEEP_COUNTS}
+    for key in LARGER_SWEEP_COUNTS:
+        current.append(key)
+        sweeps[key] = run_sweep(*key)
     dt = time.time() - t0
-    assert set(most_targets) == {family for family, _ in LARGER_SWEEP_COUNTS}
+    assert set(most_targets) == set(LARGER_SWEEP_COUNTS)
     assert dt < 600.0, f"took {dt:.1f}s"
     for key, res in sweeps.items():
         assert res.ok, (key, res.mismatches[:4])
         # every assignment over every configuration's targets is classified
-        assert res.runs == offered[key[0]], key
+        assert res.runs == offered[key], key
         assert res.configurations == len(_configurations(*key)), key
         assert (res.configurations, res.runs, len(res.rigid)) == LARGER_SWEEP_COUNTS[key], key
         _assert_rigid_list_is_the_theorems(res)
     _assert_symmetric_under_p_q_swap(sweeps[Family.SU, 8].rigid)
-    _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8, SO*(2n) 2n<=14, Sp(p,q) "
-                      f"2(p+q)<=10 and SO(p,q) p+q<=10 give the theorem's rigid "
+    _assert_symmetric_under_p_q_swap(sweeps[Family.SU, 10].rigid)
+    _announce(capsys, f"ACCEPTANCE 4 PASS  SU p+q<=8 and p+q<=10, SO*(2n) 2n<=14, "
+                      f"Sp(p,q) 2(p+q)<=14, SO(p,q) p+q<=14, Sp(2m,R) 2m<=14, "
+                      f"SL(n,R) n<=14 and SL(m,H) 2m<=14 give the theorem's rigid "
                       f"lists in {dt:.1f}s, with at most "
                       f"{max(most_targets.values())} decoration targets each")
 

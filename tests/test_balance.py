@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebalance import linalg
 from liebalance.balance import (BalancednessInstance, SimplexError, _phase_one,
-                                canonical_key, is_balanced, is_balanced_bruteforce)
+                                canonical_key, is_balanced, is_balanced_bruteforce,
+                                quotient_key)
 
 
 def inst(k, ps, ns):
@@ -333,3 +335,54 @@ def test_canonical_key_keeps_the_verdict_and_forgets_scale_repeats_order_and_zer
     assert canonical_key(canonical) == key
     cert = is_balanced(canonical)
     assert cert.balanced == verdict and cert.verify(canonical)
+
+
+# -- the quotient by span(N) ---------------------------------------------------
+
+def integer_instances():
+    def of_dim(k):
+        vec = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+        return st.tuples(st.just(k), st.lists(vec, max_size=7), st.lists(vec, max_size=5))
+    return st.integers(1, 5).flatmap(of_dim)
+
+
+@settings(max_examples=500)
+@given(integer_instances())
+def test_quotient_key_keeps_the_verdict(case):
+    """The image of P in R^k / span(N), as a key with no N, has the verdict
+    of (P, N), and it is its own quotient key."""
+    k, ps, ns = case
+    original = inst(k, ps, ns)
+    quotient = quotient_key(canonical_key(original))
+    kq, qp, qn = quotient
+    assert qn == () and kq == k - (linalg.frac_rank(ns) if ns else 0)
+    assert quotient_key(quotient) == quotient
+    assert canonical_key(BalancednessInstance.make(*quotient)) == quotient
+    cert = is_balanced(BalancednessInstance.make(*quotient))
+    assert cert.balanced == is_balanced_bruteforce(original)
+
+
+@settings(max_examples=300)
+@given(integer_instances(), st.data())
+def test_quotient_key_depends_only_on_the_span_of_n(case, data):
+    """Replacing N by another spanning set of span(N) -- integer row
+    operations that keep the span, extra combinations, zero vectors --
+    leaves the quotient key as it was."""
+    k, ps, ns = case
+    ns2 = [list(v) for v in ns]
+    for _ in range(data.draw(st.integers(0, 6))):
+        if not ns2:
+            break
+        i = data.draw(st.integers(0, len(ns2) - 1))
+        j = data.draw(st.integers(0, len(ns2) - 1))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        op = data.draw(st.sampled_from(("add", "scale", "combine")))
+        if op == "add" and i != j:
+            ns2[i] = [x + c * y for x, y in zip(ns2[i], ns2[j])]
+        elif op == "scale":
+            ns2[i] = [c * x for x in ns2[i]]
+        elif op == "combine":
+            ns2.append([x + c * y for x, y in zip(ns2[i], ns2[j])])
+    ns2 = data.draw(st.permutations(ns2 + [[0] * k] * data.draw(st.integers(0, 1))))
+    assert quotient_key(canonical_key(inst(k, ps, ns2))) == \
+        quotient_key(canonical_key(inst(k, ps, ns)))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -111,3 +112,31 @@ def test_rref_leaves_its_input_alone():
     before = [list(row) for row in a]
     assert linalg.rref(a) == _dense_rref(a)
     assert a == before
+
+
+# -- the integer echelon form -------------------------------------------------
+
+@settings(max_examples=300)
+@given(sparse_matrices(st.integers(-3, 3).map(Fraction)))
+def test_int_echelon_has_the_pivots_and_rank_of_rref(a):
+    """`int_echelon` finds `rref`'s pivot columns, negative pivot entries
+    included: its rows are primitive integer rows with a positive pivot entry
+    first, later rows vanish in each earlier pivot column, and the rows span
+    the input's row space."""
+    rows = [[int(x) for x in row] for row in a]
+    echelon, pivots = linalg.int_echelon(rows)
+    assert pivots == linalg.rref(a)[1]
+    assert len(echelon) == len(pivots) == linalg.rank(a)
+    for i, (row, c) in enumerate(zip(echelon, pivots)):
+        assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+        assert not any(row[:c]) and row[c] > 0
+        assert all(later[c] == 0 for later in echelon[i + 1:])
+    assert linalg.frac_rank(rows + echelon) == len(pivots)
+
+
+def test_int_echelon_makes_every_pivot_entry_positive():
+    # negative leading entries, and one that elimination turns negative
+    assert linalg.int_echelon([[-2, -4, 6], [0, -3, 1]]) == ([[1, 2, -3], [0, 3, -1]], [0, 1])
+    assert linalg.int_echelon([[1, 1], [1, 0]]) == ([[1, 1], [0, 1]], [0, 1])
+    assert linalg.int_echelon([[0, 0], [2, -4], [-1, 2]]) == ([[1, -2]], [0])
+    assert linalg.int_echelon([]) == ([], [])

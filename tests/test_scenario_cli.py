@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,28 @@ def _replace(doc, path, value):
     target[path[-1]] = value
 
 
+@pytest.mark.parametrize("block,message", [
+    ({"kind": "sesq_self", "dim": 1, "class_sig": [1, 1], "mult_sig": [1, 0]},
+     "class signature (1, 1) must have total dimension 1"),
+    ({"kind": "imag_pair", "dim": 1, "mult": 2, "sig": [1, 0]},
+     "ImagPair signature (1, 0) must have total dimension 2"),
+    ({"kind": "zero", "dim": 2, "sig": [2, 1]},
+     "zero block signature (2, 1) must have total dimension 2"),
+])
+def test_a_signature_of_the_wrong_dimension_is_named_with_the_dimension(block, message):
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        sc_mod.block_from_json(block)
+
+
+def test_integral_json_numbers_read_as_integers():
+    doc = su23_scenario()
+    doc["group"]["p"] = 2.0
+    doc["surface"]["genus"] = 1152.0
+    doc["blocks"][1]["class_sig"] = [1.0, 1]
+    assert sc_mod.to_json(sc_mod.from_json(doc)) == \
+        sc_mod.to_json(sc_mod.from_json(su23_scenario()))
+
+
 @pytest.mark.parametrize("path,value", [
     (("group",), "SU"),
     (("options",), 5),
@@ -251,6 +274,12 @@ def _replace(doc, path, value):
     (("--tolerance",), "nan"),
     (("decorations", 0, "target"), 0),
     (("decorations", 0, "toledo_quanta"), True),
+    # int() would parse these strings
+    (("group", "p"), "2"),
+    (("surface", "genus"), " 1152 "),
+    (("blocks", 0, "dim"), "1"),
+    (("blocks", 0, "class_sig"), ["0", "1"]),
+    (("options", "cap"), "1_2"),
 ])
 def test_cli_check_malformed_scenario_exits_3(tmp_path, capsys, path, value):
     """Each case puts one bad value into a valid document, or, where the path

@@ -48,16 +48,17 @@ def _recording(monkeypatch):
 
 
 def test_each_instance_is_decided_once_per_sweep(monkeypatch):
-    """A sweep decides one canonical instance per distinct key among its
-    runs' keys, and keeps nothing into a second sweep."""
+    """A sweep decides one canonical instance per distinct quotient key
+    among its runs' keys, each once, and keeps nothing into a second
+    sweep."""
     decided, formed, expected = _recording(monkeypatch)
     first = sweep.run_sweep(Family.SU, 5)
     first_decided = len(decided)
     assert formed == expected and len(formed) == first.runs
-    assert [balance.canonical_key(inst) for inst in decided] == \
-        [(inst.ambient_dim, inst.p_vectors, inst.n_vectors) for inst in decided]
-    assert {balance.canonical_key(inst) for inst in decided} == set(formed)
-    assert len(decided) == len(set(formed)) < first.runs
+    keys = [(inst.ambient_dim, inst.p_vectors, inst.n_vectors) for inst in decided]
+    assert [balance.canonical_key(inst) for inst in decided] == keys
+    assert set(keys) == {balance.quotient_key(key) for key in set(formed)}
+    assert len(keys) == len(set(keys)) < len(set(formed)) < first.runs
     decided.clear()
     second = sweep.run_sweep(Family.SU, 5)
     assert second == first
@@ -159,6 +160,26 @@ def _read(verdict):
     canonical instance, so only its outcome is compared."""
     cert = verdict.certificate
     return {**vars(verdict), "certificate": None if cert is None else cert.balanced}
+
+
+@pytest.mark.parametrize("family,bound", [
+    (Family.SU, 6), (Family.SO_STAR, 10), (Family.SL_R, 6)])
+def test_each_run_gets_the_verdict_its_own_instance_gets(monkeypatch, family, bound):
+    """The sweep decides in the quotient by span(N); the full LP on each
+    run's own instance, `classify.decide_afresh`, gives every run the same
+    verdict, and the same outcome."""
+    pairs = []
+
+    def both(prop, decide):
+        verdict = classify_mod.classify(prop, decide)
+        pairs.append((_read(verdict),
+                      _read(classify_mod.classify(prop, classify_mod.decide_afresh))))
+        return verdict
+
+    monkeypatch.setattr(sweep, "classify", both)
+    res = sweep.run_sweep(family, bound)
+    assert res.ok and len(pairs) == res.runs
+    assert all(memo == afresh for memo, afresh in pairs)
 
 
 @pytest.mark.parametrize("family,bound", [(Family.SU, 5), (Family.SO_STAR, 8)])
