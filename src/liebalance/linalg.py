@@ -5,7 +5,8 @@ Row reduction on small matrices (ambient dimensions stay in the tens), with
 deterministic pivot choice so downstream coordinate conventions are
 reproducible byte for byte. Each elimination step touches only the pivot
 row's nonzero columns, which is most of the saving on the sparse sweep data.
-`int_echelon` reduces integer rows without leaving the integers.
+`int_echelon` reduces integer rows without leaving the integers, and
+`int_nullspace` reads `frac_nullspace`'s basis off them the same way.
 """
 
 from __future__ import annotations
@@ -88,6 +89,38 @@ def int_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[in
         if r == len(a):
             break
     return a[:r], pivots
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> Tuple[List[List[int]], int]:
+    """`frac_nullspace`'s basis of {x : A x = 0} for integer rows, without
+    leaving the integers: returns (vectors, den), each vector den times the
+    basis vector, den the least common denominator of the basis entries.
+
+    `int_echelon`, then back-substitution from the last pivot up, each
+    update p*row - f*prow followed by the gcd division, leaves one
+    primitive row per pivot that vanishes in every other pivot column: the
+    reduced row echelon form up to a positive scale per row. Its basis
+    vector for free column fc has v[fc] = 1 and v[pc] = -row[fc]/row[pc].
+    A primitive row's pivot entry has gcd 1 with its entries in the free
+    columns, its only other nonzero ones, so den is the least common
+    multiple of the pivot entries."""
+    red, pivots = int_echelon(rows)
+    for r in range(len(red) - 1, 0, -1):
+        prow, c = red[r], pivots[r]
+        p = prow[c]
+        for i in range(r):
+            f = red[i][c]
+            if f:
+                red[i] = _primitive_row([p * x - f * y for x, y in zip(red[i], prow)])
+    den = math.lcm(*(row[c] for row, c in zip(red, pivots)))
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = den
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] * (den // row[pc])
+        basis.append(v)
+    return basis, den
 
 
 def rank(rows) -> int:

@@ -5,13 +5,15 @@ Coordinates: every block kind's weights are read from ``blocks.WEIGHTS`` as
 combinations of the block's real coordinates (one for real-valued or pure
 imaginary weights, a complex pair for free ones). Where the ambient group is
 special linear, the trace relation cuts the center c out of those
-coordinates. A basis of c* is chosen deterministically by row reduction and
-scaled once to integers by the least common denominator of its entries.
-Every weight is computed, and checked, as a pair of integer vectors (real
-part, imaginary part) over that one denominator, then stored as an exact
-pair of rational vectors in the basis, and all later convexity computations
-happen in these coordinates; a sweep keys its balancedness questions on the
-integer vectors, which span the same rays. The same table gives the matrix
+coordinates. The relations are integer rows, and a basis of c* is chosen
+deterministically by fraction-free row reduction (`linalg.int_nullspace`),
+which gives it scaled once to integers by the least common denominator of
+its entries: no step here eliminates over Q(i). Every weight is computed,
+and checked, as a pair of integer vectors (real part, imaginary part) over
+that one denominator, then stored as an exact pair of rational vectors in
+the basis, and all later convexity computations happen in these
+coordinates; a sweep keys its balancedness questions on the integer
+vectors, which span the same rays. The same table gives the matrix
 model its slices and its center, but not its forms: ``modelbuild`` builds T,
 B and s per block kind, and the oracle recovers the adjoint weights, their
 dimensions and signatures numerically, so a wrong entry of the table is
@@ -41,7 +43,6 @@ floating-point oracle checks them on every instance it draws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -137,15 +138,14 @@ class WeightGeometry:
     adjoint_parts: Tuple[Tuple[IntVec, IntVec], ...]
 
 
-def _reduce_map(raw_dim: int, relations: List[List[Fraction]]):
-    """Basis of the solution space of the relations, scaled to integers by
-    the least common denominator of its entries. Returns the raw x k integer
-    matrix whose columns form the basis, as rows of length k, then k and the
+def _reduce_map(raw_dim: int, relations: List[List[int]]):
+    """Basis of the solution space of the integer relations, scaled to
+    integers by the least common denominator of its entries
+    (`linalg.int_nullspace`). Returns the raw x k integer matrix whose
+    columns form the basis, as rows of length k, then k and the
     denominator."""
-    basis = linalg.frac_nullspace(relations, raw_dim)
-    den = math.lcm(*(x.denominator for v in basis for x in v))
-    a = [tuple(v[i].numerator * (den // v[i].denominator) for v in basis)
-         for i in range(raw_dim)]
+    basis, den = linalg.int_nullspace(relations, raw_dim)
+    a = [tuple(v[i] for v in basis) for i in range(raw_dim)]
     return a, len(basis), den
 
 
@@ -215,9 +215,9 @@ def _standard_weights(row: FamilyParams, skeleton: Skeleton):
         spans.append(range(raw, raw + size))
         raw += size
 
-    relations: List[List[Fraction]] = []
+    relations: List[List[int]] = []
     if row.is_sl_like:
-        trace = [[Fraction(0)] * raw, [Fraction(0)] * raw]
+        trace = [[0] * raw, [0] * raw]
         for (_i, kind, d_eff, _label), span in zip(weighted, spans):
             for _suffix, re, im in WEIGHTS[kind]:
                 for j, cr, ci in zip(span, re, im):
@@ -259,7 +259,7 @@ def _standard_weights(row: FamilyParams, skeleton: Skeleton):
     # real and imaginary parts of the weights still generate c* after the
     # trace relation cuts it down
     if relations and k:
-        if linalg.frac_rank([list(v) for part in parts for v in part]) != k:
+        if len(linalg.int_echelon([v for part in parts for v in part])[1]) != k:
             raise AssertionError("standard weights fail to span the dual of c")
     return k, exact, spaces, parts, tuple(sigs)
 

@@ -9,16 +9,16 @@ propagation. `classify` holds every decision to `classify.rigid_shape`, the
 theorem's statement, in both directions, and raises on a contradiction: the
 sweep records each raise as a mismatch, so an unbalanced datum of no rigid
 shape and a balanced one of rigid shape both show up. Every forced status
-must also carry one of the known rule tags. A sweep decides each distinct
-question once, in the quotient by span(N) (`balance.quotient_key`), and
-reads only the outcome.
+must also carry one of the known rule tags. A sweep forms each distinct
+run's key once, decides each distinct question once, in the quotient by
+span(N) (`balance.quotient_key`), and reads only the outcome.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import blocks as bk
 from . import groups
@@ -106,37 +106,38 @@ def run_sweep(family: Family, bound: int) -> SweepResult:
     """Classify every decorated configuration of the family up to the bound.
 
     The configurations of one sweep ask the same balancedness questions again
-    and again, so a memo that dies with the call decides each once. Each run
-    forms its `balance.canonical_key_of` from `classify.balance_vectors`
-    over the root system's integer adjoint parts and the run's statuses. A
-    run and its conjugate, every maximal status flipped, ask (P, N) and
-    (-P, N), which share a key. A new key is looked up again as its
-    `balance.quotient_key`, the question asked in R^k / span(N), which many
-    keys share, and only a new quotient key builds its instance for
-    `is_balanced`; both keys then map to that certificate. So a sweep's
+    and again, so memos that die with the call decide each once, at two
+    levels. A run's question is fixed by its root system's dim c and integer
+    adjoint parts and its statuses, so the first memo is keyed on that
+    value. Only a new run forms its `balance.canonical_key_of` from
+    `classify.balance_vectors` and maps it to its `balance.quotient_key`, the
+    question asked in R^k / span(N), which many runs share; only a new
+    quotient key builds its instance for `is_balanced`. So a sweep's
     certificates belong to quotient instances, not to the runs' own, and the
     sweep reads only their outcomes: every certificate was verified when it
     was made, and the quotient has the run's verdict, so sharing one changes
-    no output. In the same way `geometry` memoizes
-    `weight_geometry` for the call: the configurations that differ only in
-    signatures share one skeleton, and each root system is signed and
-    audited afresh."""
+    no output. In the same way `geometry` memoizes `weight_geometry` for the
+    call: the configurations that differ only in signatures share one
+    skeleton, and each root system is signed and audited afresh."""
     if not 2 <= bound <= MAX_SWEEP_BOUND:
         raise ValueError(f"sweep bound must lie in [2, {MAX_SWEEP_BOUND}]")
     res = SweepResult(family, bound)
-    by_key: Dict[CanonicalKey, BalancednessCertificate] = {}
+    by_run: Dict[Tuple, BalancednessCertificate] = {}
+    by_quotient: Dict[CanonicalKey, BalancednessCertificate] = {}
 
     def decide(prop) -> BalancednessCertificate:
-        # prop.statuses and the system's adjoint_parts share the label order
-        key = canonical_key_of(prop.system.dim_c,
-                               *balance_vectors(prop.system.adjoint_parts, prop.statuses))
-        cert = by_key.get(key)
+        system = prop.system
+        # dim c rides along: no adjoint weight, no parts to read it from
+        run = (system.dim_c, system.adjoint_parts, prop.statuses)
+        cert = by_run.get(run)
         if cert is None:
-            quotient = quotient_key(key)
-            cert = by_key.get(quotient)
+            # prop.statuses and the system's adjoint_parts share the label order
+            quotient = quotient_key(canonical_key_of(
+                system.dim_c, *balance_vectors(system.adjoint_parts, prop.statuses)))
+            cert = by_quotient.get(quotient)
             if cert is None:
-                cert = by_key[quotient] = is_balanced(BalancednessInstance.make(*quotient))
-            by_key[key] = cert
+                cert = by_quotient[quotient] = is_balanced(BalancednessInstance.make(*quotient))
+            by_run[run] = cert
         return cert
 
     geometry = functools.lru_cache(maxsize=None)(weight_geometry)

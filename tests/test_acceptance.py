@@ -15,7 +15,9 @@ Tolerances and bounds are pinned here and nowhere else:
      (p,q) -> (q,p); the same holds for SU p+q<=8 and p+q<=10, SO*(2n)
      2n<=14, Sp(p,q) 2(p+q)<=14, SO(p,q) p+q<=14, Sp(2m,R) 2m<=14, SL(n,R)
      n<=14 and SL(m,H) 2m<=14, also under 10 min, where every assignment
-     over every configuration's decoration targets is classified;
+     over every configuration's decoration targets is classified; each of
+     these sweeps decides exactly the quotient instances that
+     QUOTIENT_INSTANCES pins for its family;
   5. 1000 random balancedness instances (k <= 5, <= 12 vectors, entries with
      numerator and denominator <= 9): every certificate re-verifies and the
      verdict matches the support-set enumeration, 100%;
@@ -36,8 +38,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liebalance import blocks, groups, sweep
-from liebalance.balance import (BalancednessInstance, is_balanced,
+from liebalance import blocks, groups, linalg, roots, sweep
+from liebalance.balance import (BalancednessInstance, canonical_key, is_balanced,
                                 is_balanced_bruteforce)
 from liebalance.blocks import ScenarioError
 from liebalance.exact import GaussianRational, ZERO, signature_of
@@ -52,6 +54,8 @@ from liebalance.toledo import (ALL_TAGS, Status, SurfaceData, ToledoData,
                                toledo_direct_sum, toledo_hom_with_unitary)
 
 _SWEEP_CACHE = {}
+# per family, the canonical keys of the instances its `_sweeps()` run decides
+_SWEEP_DECIDED = {}
 
 
 def _announce(capsys, line: str):
@@ -160,14 +164,28 @@ def test_criterion_2_and_3_oracle_equivalence_and_audits(capsys):
                       f"synthesized instances")
 
 
+def _deciding(m, decided):
+    """Patch the sweep's `is_balanced` to add each instance's canonical key
+    to the set `decided[-1]`."""
+    def recorded(inst):
+        decided[-1].add(canonical_key(inst))
+        return is_balanced(inst)
+    m.setattr(sweep, "is_balanced", recorded)
+
+
 def _sweeps():
     if not _SWEEP_CACHE:
         plan = [(Family.SU, 6), (Family.SO, 8), (Family.SP_R, 8),
                 (Family.SO_STAR, 12), (Family.SL_R, 8), (Family.SL_H, 8),
                 (Family.SP, 8)]
+        decided = []
         t0 = time.time()
-        for fam, bound in plan:
-            _SWEEP_CACHE[fam] = run_sweep(fam, bound)
+        with pytest.MonkeyPatch.context() as m:
+            _deciding(m, decided)
+            for fam, bound in plan:
+                decided.append(set())
+                _SWEEP_CACHE[fam] = run_sweep(fam, bound)
+                _SWEEP_DECIDED[fam] = decided[-1]
         _SWEEP_CACHE["elapsed"] = time.time() - t0
     return _SWEEP_CACHE
 
@@ -229,6 +247,26 @@ def test_criterion_4_sweeps_classify_every_configuration_they_enumerate():
         assert res.configurations == len(_configurations(fam, res.bound)), fam
         assert (res.configurations, res.runs, len(res.rigid)) == SWEEP_COUNTS[fam], fam
         assert _rigid_digest(res.rigid) == SWEEP_RIGID_DIGESTS[fam], fam
+
+
+# The quotient instances (k, P, N) a sweep decides, as canonical keys: every
+# criterion-4 sweep reaches only quotients of dimension 0 or 1, and the rigid
+# families are the ones that reach (1, {-1}), a P of one sign
+_ORIGIN = (0, (), ())
+_ONE_SIGN = (1, ((-1,),), ())
+_BOTH_SIGNS = (1, ((-1,), (1,)), ())
+QUOTIENT_INSTANCES = {
+    Family.SU: {_ORIGIN, _ONE_SIGN, _BOTH_SIGNS},
+    Family.SO_STAR: {_ORIGIN, _ONE_SIGN, _BOTH_SIGNS},
+    Family.SO: {_ORIGIN, _BOTH_SIGNS},
+    Family.SP_R: {_ORIGIN}, Family.SL_R: {_ORIGIN}, Family.SL_H: {_ORIGIN},
+    Family.SP: {_ORIGIN},
+}
+
+
+def test_criterion_4_sweeps_decide_the_pinned_quotient_instances():
+    _sweeps()
+    assert _SWEEP_DECIDED == QUOTIENT_INSTANCES
 
 
 def _entry_key(entry):
@@ -346,13 +384,34 @@ def test_criterion_4_larger_sweeps_are_the_theorems(capsys, monkeypatch):
         most_targets[key] = max(most_targets.get(key, 0), len(targets))
         return targets
 
+    # the distinct trace relations the weight geometries solve
+    relations = set()
+    reduce_map = roots._reduce_map
+
+    def solving(raw_dim, rows):
+        relations.add((raw_dim, tuple(map(tuple, rows))))
+        return reduce_map(raw_dim, rows)
+
     monkeypatch.setattr(sweep, "_decoration_targets", recorded)
-    sweeps = {}
+    monkeypatch.setattr(roots, "_reduce_map", solving)
+    decided = []
+    _deciding(monkeypatch, decided)
+    sweeps, quotients = {}, {}
     t0 = time.time()
     for key in LARGER_SWEEP_COUNTS:
         current.append(key)
+        decided.append(set())
         sweeps[key] = run_sweep(*key)
+        quotients[key] = decided[-1]
     dt = time.time() - t0
+    assert {key: QUOTIENT_INSTANCES[key[0]] for key in sweeps} == quotients
+    # every skeleton's integer null space is frac_nullspace's basis: 1748
+    # distinct (raw dimension, relations) pairs
+    assert len(relations) == 1748
+    for raw_dim, rows in relations:
+        basis, den = linalg.int_nullspace(rows, raw_dim)
+        assert [[Fraction(x, den) for x in v] for v in basis] == \
+            linalg.frac_nullspace([list(map(Fraction, row)) for row in rows], raw_dim)
     assert set(most_targets) == set(LARGER_SWEEP_COUNTS)
     assert dt < 600.0, f"took {dt:.1f}s"
     for key, res in sweeps.items():

@@ -140,3 +140,29 @@ def test_int_echelon_makes_every_pivot_entry_positive():
     assert linalg.int_echelon([[1, 1], [1, 0]]) == ([[1, 1], [0, 1]], [0, 1])
     assert linalg.int_echelon([[0, 0], [2, -4], [-1, 2]]) == ([[1, -2]], [0])
     assert linalg.int_echelon([]) == ([], [])
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7).flatmap(lambda ncols: st.tuples(st.just(ncols), st.lists(
+    st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=6))))
+def test_int_nullspace_is_frac_nullspace_over_its_denominator(shape):
+    """`int_nullspace` gives `frac_nullspace`'s basis, vector for vector, as
+    integer vectors over the least common denominator of its entries; no
+    rows give the identity."""
+    ncols, rows = shape
+    vectors, den = linalg.int_nullspace(rows, ncols)
+    basis = linalg.frac_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+    assert [[Fraction(x, den) for x in v] for v in vectors] == basis
+    assert den == math.lcm(*(x.denominator for v in basis for x in v))
+    assert all(type(x) is int for v in vectors for x in v)
+
+
+def test_int_nullspace_of_no_rows_full_rank_and_fractional_bases():
+    assert linalg.int_nullspace([], 3) == ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
+    assert linalg.int_nullspace([], 0) == ([], 1)
+    # full column rank: nothing but 0 solves it
+    assert linalg.int_nullspace([[2, 1], [1, 3]], 2) == ([], 1)
+    # back-substitution: 3y - 2z = 0 clears y from the first row
+    assert linalg.int_nullspace([[3, 0, 1], [1, 2, -1]], 3) == ([[-1, 2, 3]], 3)
+    # pivot entries 2 and 3: basis (-1/2, -1/3, 1) over their lcm
+    assert linalg.int_nullspace([[2, 0, 1], [0, 3, 1]], 3) == ([[-3, -2, 6]], 6)

@@ -569,3 +569,34 @@ def test_integer_geometry_equals_the_fraction_one_on_random_draws():
     assert {f for f, c in scales.items() if c > 1} <= \
         {f for f in Family if groups.FAMILIES[f].is_sl_like}
     assert scales[Family.SL_C] > 1
+
+
+# -- the span check in `_standard_weights` -------------------------------------
+
+def _widened(reduce_map, extra):
+    """`_reduce_map` with one more basis column, `extra(row)` in each row."""
+    def widened(raw_dim, relations):
+        a, k, den = reduce_map(raw_dim, relations)
+        return [(*row, extra(row)) for row in a], k + 1, den
+    return widened
+
+
+@pytest.mark.parametrize("extra", [lambda row: 0, lambda row: row[0]],
+                         ids=["zero column", "repeated column"])
+def test_the_span_check_fires_when_the_basis_of_c_has_a_column_too_many(monkeypatch,
+                                                                        extra):
+    """A basis of c* one column too wide, zero or a copy of a column, leaves
+    the standard weights spanning only k of its k + 1 coordinates."""
+    cases = [(groups.sl_r(5), [blocks.real_cls(2, 1, "a"), blocks.conj_pair(1, 1, "b"),
+                               blocks.real_cls(1, 1, "c")]),
+             (groups.su(2, 1), [blocks.sesq_self(2, (1, 1), (1, 0), "a"),
+                                blocks.sesq_self(1, (1, 0), (1, 0), "b")])]
+    skeletons = []
+    for spec, bl in cases:
+        skeleton = roots.skeleton(blocks.normalize_blocks(spec, bl))
+        assert roots.weight_geometry(spec.family, skeleton).dim_c > 0
+        skeletons.append((spec.family, skeleton))
+    monkeypatch.setattr(roots, "_reduce_map", _widened(roots._reduce_map, extra))
+    for family, skeleton in skeletons:
+        with pytest.raises(AssertionError, match="fail to span the dual of c"):
+            roots.weight_geometry(family, skeleton)

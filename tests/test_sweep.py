@@ -21,8 +21,10 @@ from liebalance.toledo import Decoration, Status, propagate_constraints
 
 def _recording(monkeypatch):
     """Record every instance the sweep decides, every key it forms, and for
-    each run the canonical key of the instance `check` would build for it."""
-    decided, formed, expected = [], [], []
+    each run its memo key, the certificate it gets, and the canonical key of
+    the instance `check` would build for it. `runs` holds (memo key, own
+    key, certificate, keys formed by the run)."""
+    decided, formed, runs = [], [], []
     is_balanced = sweep.is_balanced
     canonical_key_of = sweep.canonical_key_of
 
@@ -36,46 +38,74 @@ def _recording(monkeypatch):
 
     def recorded(prop, decide):
         def reference(prop):
-            inst = classify_mod.balance_instance(prop)
-            expected.append(balance.canonical_key(inst))
-            return decide(prop)
+            own = balance.canonical_key(classify_mod.balance_instance(prop))
+            before = len(formed)
+            cert = decide(prop)
+            system = prop.system
+            runs.append(((system.dim_c, system.adjoint_parts, prop.statuses), own, cert,
+                         formed[before:]))
+            return cert
         return classify_mod.classify(prop, reference)
 
     monkeypatch.setattr(sweep, "is_balanced", counted)
     monkeypatch.setattr(sweep, "canonical_key_of", formed_key)
     monkeypatch.setattr(sweep, "classify", recorded)
-    return decided, formed, expected
+    return decided, formed, runs
+
+
+def _assert_each_run_decided_by_its_own_key(runs, formed):
+    """Every run's certificate comes from a key equal to the canonical key of
+    its own `check` instance, and a key is formed exactly once per distinct
+    (dim c, adjoint parts, statuses), by the first run that asks it."""
+    cert_of = {}
+    first = set()
+    for run, own, cert, new_keys in runs:
+        if run in first:
+            assert new_keys == []
+        else:
+            first.add(run)
+            # a new run forms one key, its own, which maps to its certificate
+            assert new_keys == [own]
+            cert_of.setdefault(own, cert)
+        assert cert_of[own] is cert
+    assert len(formed) == len(first)
 
 
 def test_each_instance_is_decided_once_per_sweep(monkeypatch):
-    """A sweep decides one canonical instance per distinct quotient key
-    among its runs' keys, each once, and keeps nothing into a second
-    sweep."""
-    decided, formed, expected = _recording(monkeypatch)
+    """A sweep forms one key per distinct run, decides one canonical instance
+    per distinct quotient key among those keys, each once, and keeps nothing
+    into a second sweep."""
+    decided, formed, runs = _recording(monkeypatch)
     first = sweep.run_sweep(Family.SU, 5)
-    first_decided = len(decided)
-    assert formed == expected and len(formed) == first.runs
+    first_decided, first_formed = len(decided), len(formed)
+    assert len(runs) == first.runs
+    _assert_each_run_decided_by_its_own_key(runs, formed)
     keys = [(inst.ambient_dim, inst.p_vectors, inst.n_vectors) for inst in decided]
     assert [balance.canonical_key(inst) for inst in decided] == keys
-    assert set(keys) == {balance.quotient_key(key) for key in set(formed)}
-    assert len(keys) == len(set(keys)) < len(set(formed)) < first.runs
+    assert set(keys) == {balance.quotient_key(key) for key in formed}
+    assert len(keys) == len(set(keys)) < len(set(formed)) < len(formed) < first.runs
     decided.clear()
+    formed.clear()
+    runs.clear()
     second = sweep.run_sweep(Family.SU, 5)
     assert second == first
-    # no memo outlives its sweep: the second run decides everything again
-    assert len(decided) == first_decided
+    # no memo outlives its sweep: the second run forms and decides everything again
+    assert (len(formed), len(decided)) == (first_formed, first_decided)
+    _assert_each_run_decided_by_its_own_key(runs, formed)
 
 
 @pytest.mark.parametrize("family,bound", [
     (Family.SU, 6), (Family.SO_STAR, 8), (Family.SP_R, 6), (Family.SL_R, 6),
     (Family.SO, 6), (Family.SP, 6), (Family.SL_H, 6)])
 def test_each_runs_integer_key_is_its_instances_canonical_key(monkeypatch, family, bound):
-    """The key a run forms from the geometry's integer adjoint parts and its
-    statuses is the canonical key of the Fraction instance `check` builds."""
-    _decided, formed, expected = _recording(monkeypatch)
+    """The key a new run forms from the geometry's integer adjoint parts and
+    its statuses is the canonical key of the Fraction instance `check`
+    builds, and every later run with the same parts and statuses gets the
+    certificate of that key."""
+    _decided, formed, runs = _recording(monkeypatch)
     res = sweep.run_sweep(family, bound)
-    assert formed == expected
-    assert len(formed) == res.runs and res.ok
+    assert len(runs) == res.runs and res.ok
+    _assert_each_run_decided_by_its_own_key(runs, formed)
 
 
 @settings(max_examples=60)
